@@ -17,15 +17,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"time"
-)
 
-// expositionLine accepts Prometheus text format 0.0.4: HELP/TYPE comments
-// and `name[{le="..."}] value` samples.
-var expositionLine = regexp.MustCompile(
-	`^(# (HELP|TYPE) [a-z][a-z0-9_]* .+|[a-z][a-z0-9_]*(\{le="[^"]+"\})? -?[0-9.eE+-]+)$`)
+	"sariadne/internal/telemetry"
+)
 
 // required is the acceptance surface: every layer's instruments must show
 // up on one scrape of a freshly booted daemon.
@@ -123,7 +119,7 @@ func validate(body string) error {
 		return fmt.Errorf("empty exposition")
 	}
 	for i, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
-		if !expositionLine.MatchString(line) {
+		if !telemetry.ValidExpositionLine(line) {
 			return fmt.Errorf("malformed exposition line %d: %q", i+1, line)
 		}
 	}

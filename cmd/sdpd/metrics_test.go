@@ -4,18 +4,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
 	"strings"
 	"testing"
 
 	"sariadne/internal/profile"
+	"sariadne/internal/telemetry"
 )
-
-// expositionLine matches the Prometheus text format 0.0.4: comments or
-// `name{labels} value` samples. The same shape `make metrics-smoke`
-// enforces against a live sdpd.
-var expositionLine = regexp.MustCompile(
-	`^(# (HELP|TYPE) [a-z][a-z0-9_]* .+|[a-z][a-z0-9_]*(\{le="[^"]+"\})? [0-9.eE+-]+|[a-z][a-z0-9_]*(\{le="\+Inf"\}) [0-9]+)$`)
 
 func TestMetricsEndpointExposition(t *testing.T) {
 	ts, _ := newGatewayServer(t)
@@ -38,7 +32,7 @@ func TestMetricsEndpointExposition(t *testing.T) {
 		t.Fatalf("content type = %q", ct)
 	}
 	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
-		if !expositionLine.MatchString(line) {
+		if !telemetry.ValidExpositionLine(line) {
 			t.Errorf("malformed exposition line: %q", line)
 		}
 	}

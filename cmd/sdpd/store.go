@@ -198,6 +198,11 @@ func (s *server) recordAdvertLocked(name, doc string, version uint64) uint64 {
 	if version == 0 {
 		version = h.current() + 1
 	}
+	if n := len(h.Versions); n > 0 && h.Versions[n-1].Doc == doc {
+		// An identical re-publish shares the previous version's text, so
+		// the ledger grows by a version number, not a document copy.
+		doc = h.Versions[n-1].Doc
+	}
 	h.Versions = append(h.Versions, advertVersion{Version: version, Doc: doc})
 	h.Live = true
 	return version

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"log/slog"
+	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sariadne/internal/ontology"
 	"sariadne/internal/profile"
@@ -186,6 +189,51 @@ func TestAdvertisementVersioning(t *testing.T) {
 	resp = s.handle(mustJSON(t, request{Op: "register", Doc: doc}))
 	if !resp.OK || resp.Version != 3 {
 		t.Fatalf("re-register after withdraw: %+v", resp)
+	}
+}
+
+// TestIdenticalRepublishSharesLedgerText checks that consecutive
+// identical versions share one copy of the document while every version
+// stays listed with its full text.
+func TestIdenticalRepublishSharesLedgerText(t *testing.T) {
+	ts, s := newGatewayServer(t)
+	a := mustDoc(t, profile.WorkstationService())
+	changed := profile.WorkstationService()
+	changed.Provider = "kitchen-pc"
+	b := mustDoc(t, changed)
+	docs := []string{a, a, b, a}
+	for i, doc := range docs {
+		if resp := s.handle(mustJSON(t, request{Op: "register", Doc: doc})); !resp.OK || resp.Version != uint64(i+1) {
+			t.Fatalf("register %d: %+v", i, resp)
+		}
+	}
+
+	s.mu.Lock()
+	v := s.adverts["MediaWorkstation"].Versions
+	s.mu.Unlock()
+	text := func(i int) *byte { return unsafe.StringData(v[i].Doc) }
+	if text(0) != text(1) {
+		t.Error("identical consecutive versions 1 and 2 hold separate copies")
+	}
+	if text(2) == text(1) || text(3) == text(2) {
+		t.Error("versions with different text share storage")
+	}
+
+	resp, body := do(t, "GET", ts.URL+"/services/MediaWorkstation", "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /services/MediaWorkstation = %d: %s", resp.StatusCode, body)
+	}
+	var hist advertHistory
+	if err := json.Unmarshal([]byte(body), &hist); err != nil {
+		t.Fatal(err)
+	}
+	if !hist.Live || len(hist.Versions) != len(docs) {
+		t.Fatalf("history = %s", body)
+	}
+	for i, ver := range hist.Versions {
+		if ver.Version != uint64(i+1) || ver.Doc != docs[i] {
+			t.Errorf("listed version %d = {%d, %q}, want {%d, %q}", i, ver.Version, ver.Doc, i+1, docs[i])
+		}
 	}
 }
 

@@ -199,34 +199,31 @@ func runAnalyzers(pkgs []*listedPackage, print bool) ([]finding, bool) {
 	loader := load.NewLoader(modulePath, moduleFiles)
 
 	ok := true
+	type unit struct {
+		path     string
+		files    []string
+		testOnly bool         // report only _test.go diagnostics (dedup)
+		loader   *load.Loader // resolves the unit's imports
+	}
 	for _, p := range pkgs {
 		// Unit 1: the library files.
-		units := []struct {
-			path     string
-			files    []string
-			testOnly bool // report only _test.go diagnostics (dedup)
-		}{
-			{p.ImportPath, abs(p.Dir, p.GoFiles), false},
-		}
+		units := []unit{{p.ImportPath, abs(p.Dir, p.GoFiles), false, loader}}
 		// Unit 2: library + in-package tests, reporting test files only.
+		withTests := abs(p.Dir, append(append([]string{}, p.GoFiles...), p.TestGoFiles...))
 		if len(p.TestGoFiles) > 0 {
-			units = append(units, struct {
-				path     string
-				files    []string
-				testOnly bool
-			}{p.ImportPath, abs(p.Dir, append(append([]string{}, p.GoFiles...), p.TestGoFiles...)), true})
+			units = append(units, unit{p.ImportPath, withTests, true, loader})
 		}
-		// Unit 3: the external _test package.
+		// Unit 3: the external _test package, which imports the package
+		// with its in-package tests (export_test.go hooks).
 		if len(p.XTestGoFiles) > 0 {
-			units = append(units, struct {
-				path     string
-				files    []string
-				testOnly bool
-			}{p.ImportPath + "_test", abs(p.Dir, p.XTestGoFiles), false},
-			)
+			xl := loader
+			if len(p.TestGoFiles) > 0 {
+				xl = loader.WithTestVariant(p.ImportPath, withTests)
+			}
+			units = append(units, unit{p.ImportPath + "_test", abs(p.Dir, p.XTestGoFiles), false, xl})
 		}
 		for _, u := range units {
-			pkg, err := loader.LoadFiles(u.path, u.files)
+			pkg, err := u.loader.LoadFiles(u.path, u.files)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "sdplint: %v\n", err)
 				ok = false

@@ -93,6 +93,27 @@ func (l *Loader) LoadFiles(path string, files []string) (*Package, error) {
 	return l.check(path, files)
 }
 
+// WithTestVariant returns a loader that resolves path to files — the
+// package together with its in-package _test.go files, which is what `go
+// test` compiles an external test package against, so that it can use
+// names an export_test.go file declares. Module packages importing path
+// are checked again against that variant; the file set and the standard
+// library importer are shared.
+func (l *Loader) WithTestVariant(path string, files []string) *Loader {
+	moduleFiles := make(map[string][]string, len(l.ModuleFiles))
+	for p, fs := range l.ModuleFiles {
+		moduleFiles[p] = fs
+	}
+	moduleFiles[path] = files
+	return &Loader{
+		Fset:        l.Fset,
+		ModulePath:  l.ModulePath,
+		ModuleFiles: moduleFiles,
+		std:         l.std,
+		cache:       make(map[string]*Package),
+	}
+}
+
 // LoadDir parses every .go file in dir (including _test.go files) and
 // type-checks them as one package — the analysistest entry point. Files
 // with distinct package clauses (e.g. an external test package) are

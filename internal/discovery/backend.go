@@ -187,7 +187,8 @@ func (b *SemanticBackend) RequiredNames(doc []byte) ([]string, error) {
 }
 
 // Subset implements Backend: the request document restricted to the named
-// required capabilities.
+// required capabilities. When that drops none, it returns doc itself
+// rather than re-encoding the same service.
 func (b *SemanticBackend) Subset(doc []byte, names []string) ([]byte, error) {
 	svc, err := profile.Unmarshal(doc)
 	if err != nil {
@@ -203,10 +204,13 @@ func (b *SemanticBackend) Subset(doc []byte, names []string) ([]byte, error) {
 			kept = append(kept, c)
 		}
 	}
-	svc.Required = kept
-	if len(svc.Required) == 0 {
+	if len(kept) == 0 {
 		return nil, ErrNoRequiredCapability
 	}
+	if len(kept) == len(svc.Required) {
+		return doc, nil
+	}
+	svc.Required = kept
 	return profile.Marshal(svc)
 }
 

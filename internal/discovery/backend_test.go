@@ -1,6 +1,8 @@
 package discovery
 
 import (
+	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -93,6 +95,48 @@ func TestSemanticBackendRejects(t *testing.T) {
 	}
 	if _, err := b.Register(stale); err == nil {
 		t.Fatal("accepted stale code versions")
+	}
+}
+
+func TestSemanticBackendSubset(t *testing.T) {
+	b := NewSemanticBackend(fixtureRegistry(t))
+	req := profile.PDAService()
+	second := req.Required[0].Clone()
+	second.Name = "GetSecondStream"
+	req.Required = append(req.Required, second)
+	doc, err := profile.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A trailing newline, which Marshal does not write, tells a returned
+	// input apart from a re-encoding.
+	doc = append(doc, '\n')
+	first := req.Required[0].Name
+
+	// Nothing dropped: the input bytes come back unchanged.
+	all, err := b.Subset(doc, []string{second.Name, first})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(all, doc) {
+		t.Fatalf("full subset = %s, want the input unchanged", all)
+	}
+
+	// A real subset re-encodes the request with only the named capability.
+	part, err := b.Subset(doc, []string{second.Name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, err := b.RequiredNames(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 1 || names[0] != second.Name {
+		t.Fatalf("subset keeps %v, want [%s]", names, second.Name)
+	}
+
+	if _, err := b.Subset(doc, []string{"Unknown"}); !errors.Is(err, ErrNoRequiredCapability) {
+		t.Fatalf("empty subset: err = %v, want ErrNoRequiredCapability", err)
 	}
 }
 

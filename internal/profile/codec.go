@@ -79,10 +79,47 @@ type xmlQoSRequire struct {
 func Decode(r io.Reader) (*Service, error) {
 	start := time.Now()
 	defer parseSeconds.ObserveSince(start)
-	var doc xmlService
-	if err := xml.NewDecoder(r).Decode(&doc); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("profile: decode: %w", err)
 	}
+	return decode(data)
+}
+
+// Unmarshal parses a service document from a byte slice.
+func Unmarshal(data []byte) (*Service, error) {
+	start := time.Now()
+	defer parseSeconds.ObserveSince(start)
+	return decode(data)
+}
+
+// decode reads the document with the single-pass scanner (scan.go) and,
+// for any input outside the scanner's subset, with the reference
+// decoder. Which one runs depends only on the bytes.
+func decode(data []byte) (*Service, error) {
+	doc, ok := scanService(data)
+	if !ok {
+		var err error
+		if doc, err = decodeXML(data); err != nil {
+			return nil, err
+		}
+	}
+	return doc.service()
+}
+
+// decodeXML is the reference decoder: encoding/xml over the whole
+// vocabulary. The scanner defers to it, and the differential fuzz test
+// holds the scanner to its results.
+func decodeXML(data []byte) (xmlService, error) {
+	var doc xmlService
+	if err := xml.NewDecoder(bytes.NewReader(data)).Decode(&doc); err != nil {
+		return xmlService{}, fmt.Errorf("profile: decode: %w", err)
+	}
+	return doc, nil
+}
+
+// service builds and validates the Service a decoded document describes.
+func (doc *xmlService) service() (*Service, error) {
 	s := &Service{Name: doc.Name, Provider: doc.Provider}
 	if len(doc.CodeVersions) > 0 {
 		s.CodeVersions = make(map[string]string, len(doc.CodeVersions))
@@ -111,11 +148,6 @@ func Decode(r io.Reader) (*Service, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// Unmarshal parses a service document from a byte slice.
-func Unmarshal(data []byte) (*Service, error) {
-	return Decode(bytes.NewReader(data))
 }
 
 func capabilityFromXML(xc xmlCapability) (*Capability, error) {

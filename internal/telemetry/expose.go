@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"regexp"
 	"strconv"
 	"strings"
 )
@@ -53,6 +54,36 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// The line grammar of the Prometheus text exposition format 0.0.4.
+var (
+	expositionSample = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*` +
+		`(\{(` + expositionLabel + `(,` + expositionLabel + `)*,?)?\})?` +
+		`[ \t]+([+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?|[+-]?Inf|NaN)` +
+		`([ \t]+-?[0-9]+)?[ \t]*$`)
+	expositionHelp = regexp.MustCompile(`^# HELP [a-zA-Z_:][a-zA-Z0-9_:]*( .*)?$`)
+	expositionType = regexp.MustCompile(`^# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* (counter|gauge|histogram|summary|untyped)$`)
+)
+
+// expositionLabel is one name="value" pair; the value escapes only
+// backslash, double quote and newline.
+const expositionLabel = `[a-zA-Z_][a-zA-Z0-9_]*="([^"\\\n]|\\[\\"n])*"`
+
+// ValidExpositionLine reports whether line is well formed in the
+// Prometheus text exposition format 0.0.4: a HELP or TYPE line, any other
+// comment, a blank line, or a sample `name{label="value",...} value
+// [timestamp]`.
+func ValidExpositionLine(line string) bool {
+	switch {
+	case strings.HasPrefix(line, "# HELP "):
+		return expositionHelp.MatchString(line)
+	case strings.HasPrefix(line, "# TYPE "):
+		return expositionType.MatchString(line)
+	case strings.HasPrefix(line, "#"), strings.TrimSpace(line) == "":
+		return true
+	}
+	return expositionSample.MatchString(line)
 }
 
 // formatFloat renders a sample value the way Prometheus expects: shortest

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"regexp"
 	"strings"
 	"testing"
 )
@@ -49,13 +48,55 @@ func TestWritePrometheusFormat(t *testing.T) {
 // the same check the metrics-smoke CI target applies to a live sdpd.
 func checkExposition(t *testing.T, out string) {
 	t.Helper()
-	sample := regexp.MustCompile(`^[a-z][a-z0-9_]*(\{le="[^"]+"\})? -?[0-9][0-9eE.+-]*$|^[a-z][a-z0-9_]*(\{le="[^"]+"\})? \+Inf$`)
-	comment := regexp.MustCompile(`^# (HELP|TYPE) [a-z][a-z0-9_]* .+$`)
 	for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
-		if comment.MatchString(line) || sample.MatchString(line) {
-			continue
+		if !ValidExpositionLine(line) {
+			t.Errorf("malformed exposition line: %q", line)
 		}
-		t.Errorf("malformed exposition line: %q", line)
+	}
+}
+
+func TestValidExpositionLine(t *testing.T) {
+	for _, tc := range []struct {
+		line  string
+		valid bool
+	}{
+		{`# HELP demo_ops_total operations`, true},
+		{`# HELP demo_ops_total`, true},
+		{`# TYPE demo_ops_total counter`, true},
+		{`# a free-form comment`, true},
+		{``, true},
+		{`demo_ops_total 3`, true},
+		{`demo_rate -0.25`, true},
+		{`demo_rate 1.5e-07`, true},
+		{`demo_rate NaN`, true},
+		{`demo_rate -Inf`, true},
+		{`demo_ops_total 3 1700000000000`, true},
+		{`demo_depth_bucket{le="+Inf"} 2`, true},
+		{`tenant_live_services{tenant="alice"} 1`, true},
+		{`alert_fired_total{code="goroutine_growth",severity="warn",} 2`, true},
+		{`demo{path="a\\b \"q\" \n"} 1`, true},
+		{`demo{} 1`, true},
+
+		{`# TYPE demo_ops_total bogus`, false},
+		{`# TYPE demo_ops_total`, false},
+		{`demo_ops_total`, false},
+		{`tenant_live_services{tenant="alice"}`, false},
+		{`tenant_live_services{tenant="alice"} `, false},
+		{`tenant_live_services{tenant="alice" 1`, false},
+		{`tenant_live_services tenant="alice"} 1`, false},
+		{`tenant_live_services{tenant="alice"}} 1`, false},
+		{`tenant_live_services{tenant=alice} 1`, false},
+		{`tenant_live_services{tenant="alice} 1`, false},
+		{`tenant_live_services{tenant="a\qb"} 1`, false},
+		{`tenant_live_services{="alice"} 1`, false},
+		{`tenant_live_services{a="1",,b="2"} 1`, false},
+		{`demo_ops_total three`, false},
+		{`demo_ops_total 3 later`, false},
+		{`1demo 3`, false},
+	} {
+		if got := ValidExpositionLine(tc.line); got != tc.valid {
+			t.Errorf("ValidExpositionLine(%q) = %v, want %v", tc.line, got, tc.valid)
+		}
 	}
 }
 
