@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-smoke chaos lint lint-json metrics-smoke federation-smoke soak-smoke slo-check store-conformance check clean
+.PHONY: build test race bench bench-smoke chaos fmt-check lint lint-json metrics-smoke federation-smoke soak-smoke slo-check store-conformance check clean
 
 build:
 	$(GO) build ./...
@@ -21,11 +21,19 @@ chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Hedge|Evicted|Fault|Churn|Partition' \
 		./internal/discovery/ ./internal/simnet/ -v
 
-# lint runs go vet plus the ten project analyzers (lockcheck,
-# goroutinecheck, detrand, sleeptest, metricnames, simnetimport,
-# atomicmix, immutcheck, hotalloc, errdrop). Exit status 1 means
-# findings; `make lint-json` emits them machine-readable.
-lint:
+# fmt-check fails when gofmt would rewrite any Go file. The analyzers'
+# testdata files are fixtures kept exactly as written, and .bench_build/
+# holds perfbench's build caches.
+fmt-check:
+	@files=$$(gofmt -l . | grep -Ev '(^|/)testdata/|^\.bench_build/'); \
+	if [ -n "$$files" ]; then echo "gofmt -l lists unformatted files:"; echo "$$files"; exit 1; fi
+
+# lint checks formatting, then runs go vet plus the ten project analyzers
+# (lockcheck, goroutinecheck, detrand, sleeptest, metricnames,
+# simnetimport, atomicmix, immutcheck, hotalloc, errdrop). Exit status 1
+# means findings; `make lint-json` emits the analyzer findings
+# machine-readable.
+lint: fmt-check
 	$(GO) run ./cmd/sdplint ./...
 
 lint-json:

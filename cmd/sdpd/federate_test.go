@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"sariadne/internal/ontology"
 	"sariadne/internal/profile"
 	"sariadne/internal/testutil"
 )
@@ -85,4 +86,50 @@ func TestPeersOpRequiresFederation(t *testing.T) {
 	if resp.OK || resp.Code != codeBadRequest {
 		t.Fatalf("peers on standalone daemon: %+v", resp)
 	}
+}
+
+// TestAddOntologyDuringForwardedQueries reproduces the code-table
+// registry race: add-ontology on daemon A replaces a table while
+// queries forwarded from daemon B are matched on A's discovery node
+// goroutine, outside A's request mutex. Run it with -race; every
+// forwarded query must still find A's service.
+func TestAddOntologyDuringForwardedQueries(t *testing.T) {
+	sa, fa := newFederatedServer(t, "udp")
+	sb, _ := newFederatedServer(t, "udp", string(fa.node.ID()))
+	testutil.WaitFor(t, 5*time.Second, func() bool {
+		return len(fa.node.Peers()) == 1
+	}, "backbone handshake")
+	if resp := sa.handle(mustJSON(t, request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())})); !resp.OK {
+		t.Fatalf("register on A: %s", resp.Error)
+	}
+	testutil.WaitFor(t, 5*time.Second, func() bool {
+		resp := sb.handle(mustJSON(t, request{Op: "peers"}))
+		return resp.OK && len(resp.Peers) == 1 && resp.Peers[0].Entries == 2
+	}, "A's summary never reached B")
+
+	media, err := ontology.Marshal(profile.MediaOntology())
+	if err != nil {
+		t.Fatal(err)
+	}
+	addOntology := mustJSON(t, request{Op: "add-ontology", Doc: string(media)})
+	query := mustJSON(t, request{Op: "query", Doc: mustDoc(t, profile.PDAService())})
+	const rounds = 50
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < rounds; i++ {
+			if resp := sa.handle(addOntology); !resp.OK {
+				t.Errorf("add-ontology on A: %s", resp.Error)
+				return
+			}
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		resp := sb.handle(query)
+		if !resp.OK || len(resp.Hits) != 1 || resp.Hits[0].Service != "MediaWorkstation" {
+			t.Errorf("forwarded query %d during add-ontology: %+v", i, resp)
+			break
+		}
+	}
+	<-done
 }

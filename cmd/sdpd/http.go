@@ -34,6 +34,7 @@ import (
 // endpoint reads the bearer credential from the Authorization header;
 // denials map onto 401 (unauthenticated), 403 (forbidden) and 429 (rate
 // limited or over quota).
+//
 //	GET  /traces                                     -> 200 {"traces":[...]} flight-recorder listing, newest first
 //	GET  /traces/{id}                                -> 200 one retained trace with its span tree
 //	GET  /events                                     -> 200 {"events":[...]} protocol events, newest first

@@ -118,11 +118,11 @@ type response struct {
 	TraceID uint64 `json:"trace_id,omitempty"`
 	// Spans is the hop-level trace, inline — only when the request asked
 	// for tracing (sampled queries just carry the ID).
-	Spans []telemetry.Span `json:"spans,omitempty"`
-	Peers   []peerEntry     `json:"peers,omitempty"`
-	Stats   *statsBody      `json:"stats,omitempty"`
-	Table   json.RawMessage `json:"table,omitempty"`
-	Tenants *tenantsBody    `json:"tenants,omitempty"`
+	Spans   []telemetry.Span `json:"spans,omitempty"`
+	Peers   []peerEntry      `json:"peers,omitempty"`
+	Stats   *statsBody       `json:"stats,omitempty"`
+	Table   json.RawMessage  `json:"table,omitempty"`
+	Tenants *tenantsBody     `json:"tenants,omitempty"`
 }
 
 // tenantsBody is the admission table behind GET /tenants and the

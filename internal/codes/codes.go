@@ -38,6 +38,8 @@ import (
 	"math"
 	"math/big"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"sariadne/internal/ontology"
 )
@@ -199,10 +201,21 @@ type Table struct {
 	version string
 	params  Params
 
-	names     map[string]int // class name -> concept index
-	codes     []Code
-	depth     []int
-	ancestors []map[int]int // strict ancestor -> min hops
+	names map[string]int // class name -> concept index
+	codes []Code
+	depth []int
+	// The strict ancestors of concept i, with their minimal hop counts,
+	// are ancestors[ancStart[i]:ancStart[i+1]], sorted by index: one flat
+	// slice per table instead of a map per concept, so the distance read
+	// is a short binary search with no hashing.
+	ancStart  []int32
+	ancestors []ancestor
+}
+
+// ancestor is one strict ancestor of a concept and the minimal number of
+// hierarchy levels separating the two.
+type ancestor struct {
+	index, hops int32
 }
 
 // Encode derives the code table from a classified hierarchy. The spanning
@@ -214,14 +227,14 @@ func Encode(cl *ontology.Classified, params Params) (*Table, error) {
 	}
 	n := cl.NumConcepts()
 	t := &Table{
-		uri:       cl.URI(),
-		version:   cl.Version(),
-		params:    params,
-		names:     make(map[string]int),
-		codes:     make([]Code, n),
-		depth:     make([]int, n),
-		ancestors: make([]map[int]int, n),
+		uri:     cl.URI(),
+		version: cl.Version(),
+		params:  params,
+		names:   make(map[string]int),
+		codes:   make([]Code, n),
+		depth:   make([]int, n),
 	}
+	ancestors := make([]map[int]int, n)
 
 	// Assign primary intervals by BFS over the spanning tree. The virtual
 	// root spans [0, 1); hierarchy roots are its children.
@@ -235,7 +248,7 @@ func Encode(cl *ontology.Classified, params Params) (*Table, error) {
 			treeParent[i] = parents[0]
 		}
 		t.depth[i] = cl.Depth(i)
-		t.ancestors[i] = cl.AncestorsIndex(i)
+		ancestors[i] = cl.AncestorsIndex(i)
 		for _, name := range cl.Members(i) {
 			t.names[name] = i
 		}
@@ -305,7 +318,7 @@ func Encode(cl *ontology.Classified, params Params) (*Table, error) {
 	// another. Descendant sets come from the ancestor closure.
 	desc := make([][]int, n)
 	for i := 0; i < n; i++ {
-		for a := range t.ancestors[i] {
+		for a := range ancestors[i] {
 			desc[a] = append(desc[a], i)
 		}
 	}
@@ -316,7 +329,49 @@ func Encode(cl *ontology.Classified, params Params) (*Table, error) {
 		}
 		t.codes[i].Covers = minimizeCover(ivs)
 	}
+	t.setAncestors(ancestors)
 	return t, nil
+}
+
+// setAncestors flattens per-concept ancestor -> hops maps into the
+// table's sorted ancestor slices.
+func (t *Table) setAncestors(ancestors []map[int]int) {
+	total := 0
+	for _, m := range ancestors {
+		total += len(m)
+	}
+	t.ancStart = make([]int32, len(ancestors)+1)
+	t.ancestors = make([]ancestor, 0, total)
+	for i, m := range ancestors {
+		start := len(t.ancestors)
+		for a, d := range m {
+			t.ancestors = append(t.ancestors, ancestor{index: int32(a), hops: int32(d)})
+		}
+		own := t.ancestors[start:]
+		sort.Slice(own, func(x, y int) bool { return own[x].index < own[y].index })
+		t.ancStart[i+1] = int32(len(t.ancestors))
+	}
+}
+
+// hops returns the minimal number of levels from ancestor a down to
+// concept b, with ok=false when a is not a strict ancestor of b.
+//
+//sdp:hotpath
+func (t *Table) hops(b, a int32) (int, bool) {
+	own := t.ancestors[t.ancStart[b]:t.ancStart[b+1]]
+	lo, hi := 0, len(own)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if own[mid].index < a {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(own) || own[lo].index != a {
+		return 0, false
+	}
+	return int(own[lo].hops), true
 }
 
 // MustEncode is Encode that panics on error; for static fixtures.
@@ -392,7 +447,8 @@ func (t *Table) Subsumes(a, b string) bool {
 // separating a from b when a subsumes b (0 if equivalent), with ok=false
 // (the paper's NULL) otherwise. Subsumption itself is established by the
 // numeric codes; the level count is read from the table precomputed at
-// encoding time, so no reasoner runs at match time.
+// encoding time, so no reasoner runs at match time. It resolves both
+// names and defers to the index form that interned Concepts use.
 //
 //sdp:hotpath
 func (t *Table) Distance(a, b string) (int, bool) {
@@ -404,19 +460,45 @@ func (t *Table) Distance(a, b string) (int, bool) {
 	if !ok {
 		return 0, false
 	}
+	return t.distanceIndex(int32(ai), int32(bi))
+}
+
+// distanceIndex is d(a, b) over concept indices.
+//
+//sdp:hotpath
+func (t *Table) distanceIndex(ai, bi int32) (int, bool) {
 	if ai == bi {
 		return 0, true
 	}
 	if !t.codes[ai].Subsumes(t.codes[bi]) {
 		return 0, false
 	}
-	d, ok := t.ancestors[bi][ai]
-	if !ok {
-		// The codes said subsumption holds but the closure disagrees; this
-		// indicates table corruption and must not silently report a match.
+	// The codes said subsumption holds; a missing hop count would mean
+	// the closure disagrees (table corruption), which must not silently
+	// report a match, so hops' ok is returned as is.
+	return t.hops(bi, ai)
+}
+
+// Concept is an interned concept reference: the code table encoding it
+// and its dense concept index there. Equivalent class names share one
+// index. The zero Concept stands for a reference that could not be
+// interned (unknown ontology or class name) and matches nothing.
+type Concept struct {
+	table *Table
+	index int32
+}
+
+// ConceptDistance is Table.Distance over interned concepts: d(a, b) when
+// both come from the same table, ok=false otherwise. Both must have been
+// interned against the same Tables generation; mixing generations could
+// compare a replaced table's indices against its successor's.
+//
+//sdp:hotpath
+func ConceptDistance(a, b Concept) (int, bool) {
+	if a.table == nil || a.table != b.table {
 		return 0, false
 	}
-	return d, true
+	return a.table.distanceIndex(a.index, b.index)
 }
 
 // Stats summarizes encoding health: how deep the hierarchy goes and how
@@ -451,32 +533,83 @@ func (t *Table) Stats() Stats {
 
 // Registry resolves ontology URIs to code tables and enforces the version
 // consistency rule: a lookup with a version other than the registered
-// table's fails with ErrVersionMismatch. Registries are populated during
-// directory bootstrap (offline) and read concurrently afterwards; Register
-// must not race with Resolve.
+// table's fails with ErrVersionMismatch. Registries are safe for
+// concurrent use: Register serializes writers and publishes a fresh,
+// immutable Tables generation by atomic pointer swap, so Resolve and
+// Intern never take a lock and may run while tables are added or
+// replaced.
 type Registry struct {
-	tables map[string]*Table
+	// mu serializes Register; readers never take it.
+	mu  sync.Mutex
+	cur atomic.Pointer[Tables]
+}
+
+// Tables is one generation of a Registry: the URI -> table map as it
+// stood between two Register calls. Every Register publishes a new
+// generation, so comparing *Tables pointers tells whether two interned
+// forms came from the same registry state.
+//
+//sdp:immutable
+type Tables struct {
+	byURI map[string]*Table
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{tables: make(map[string]*Table)}
+	r := &Registry{}
+	r.cur.Store(&Tables{byURI: map[string]*Table{}})
+	return r
 }
 
-// Register adds or replaces the table for its ontology URI.
+// Register adds or replaces the table for its ontology URI, publishing a
+// new Tables generation.
 func (r *Registry) Register(t *Table) {
-	r.tables[t.uri] = t
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.cur.Store(newTables(r.cur.Load(), t))
 }
 
-// Resolve returns the table for an ontology URI.
+// newTables copies prev's map with t added or replacing its URI's entry.
+func newTables(prev *Tables, t *Table) *Tables {
+	next := &Tables{byURI: make(map[string]*Table, len(prev.byURI)+1)}
+	for u, old := range prev.byURI {
+		next.byURI[u] = old
+	}
+	next.byURI[t.uri] = t
+	return next
+}
+
+// Tables returns the current generation.
+func (r *Registry) Tables() *Tables { return r.cur.Load() }
+
+// Resolve returns the current table for an ontology URI.
 func (r *Registry) Resolve(uri string) (*Table, bool) {
-	t, ok := r.tables[uri]
+	return r.cur.Load().Resolve(uri)
+}
+
+// Resolve returns the table for an ontology URI in this generation.
+func (ts *Tables) Resolve(uri string) (*Table, bool) {
+	t, ok := ts.byURI[uri]
 	return t, ok
+}
+
+// Intern resolves a concept reference against this generation. Unknown
+// ontologies and class names intern to the zero Concept.
+func (ts *Tables) Intern(ref ontology.Ref) Concept {
+	t, ok := ts.byURI[ref.Ontology]
+	if !ok {
+		return Concept{}
+	}
+	i, ok := t.names[ref.Name]
+	if !ok {
+		return Concept{}
+	}
+	return Concept{table: t, index: int32(i)}
 }
 
 // ResolveVersion returns the table for the URI only if its version matches.
 func (r *Registry) ResolveVersion(uri, version string) (*Table, error) {
-	t, ok := r.tables[uri]
+	t, ok := r.Resolve(uri)
 	if !ok {
 		return nil, fmt.Errorf("%w: no table for ontology %q", ErrUnknownConcept, uri)
 	}
@@ -488,8 +621,9 @@ func (r *Registry) ResolveVersion(uri, version string) (*Table, error) {
 
 // URIs returns the registered ontology URIs in sorted order.
 func (r *Registry) URIs() []string {
-	out := make([]string, 0, len(r.tables))
-	for u := range r.tables {
+	tables := r.cur.Load().byURI
+	out := make([]string, 0, len(tables))
+	for u := range tables {
 		out = append(out, u)
 	}
 	sort.Strings(out)
@@ -497,4 +631,4 @@ func (r *Registry) URIs() []string {
 }
 
 // Len returns the number of registered tables.
-func (r *Registry) Len() int { return len(r.tables) }
+func (r *Registry) Len() int { return len(r.cur.Load().byURI) }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -223,6 +224,130 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestIntern covers the handles the name-based Distance has no analogue
+// for: unknown ontologies and names intern to a concept that matches
+// nothing, equivalent names share one index, and concepts of different
+// tables never match.
+func TestIntern(t *testing.T) {
+	media := MustEncode(mediaClassified(t), DefaultParams)
+	other := MustEncode(ontology.MustClassify(randomHierarchy(rand.New(rand.NewSource(1)), 8)), DefaultParams)
+	r := NewRegistry()
+	r.Register(media)
+	r.Register(other)
+	ts := r.Tables()
+	ref := func(uri, name string) Concept { return ts.Intern(ontology.Ref{Ontology: uri, Name: name}) }
+	movie, film := ref(media.URI(), "Movie"), ref(media.URI(), "Film")
+	if movie != film {
+		t.Fatalf("equivalent names interned apart: %v vs %v", movie, film)
+	}
+	if d, ok := ConceptDistance(ref(media.URI(), "Resource"), film); !ok || d != 3 {
+		t.Fatalf("d(Resource, Film) = (%d, %v), want (3, true)", d, ok)
+	}
+	for _, c := range []Concept{ref("http://unknown.example/ont", "Movie"), ref(media.URI(), "Nope")} {
+		if c != (Concept{}) {
+			t.Fatalf("unknown reference interned as %+v, want the zero Concept", c)
+		}
+		if _, ok := ConceptDistance(c, c); ok {
+			t.Fatal("unknown concept matched itself")
+		}
+		if _, ok := ConceptDistance(c, movie); ok {
+			t.Fatal("unknown concept matched a known one")
+		}
+	}
+	if _, ok := ConceptDistance(ref(other.URI(), "C000"), ref(media.URI(), "Resource")); ok {
+		t.Fatal("concepts of different tables matched")
+	}
+}
+
+// TestRegistryConcurrentRegister adds and replaces tables while other
+// goroutines intern, resolve and match through the registry; run it with
+// -race. Every reader must see either generation of a replaced table, each
+// internally consistent.
+func TestRegistryConcurrentRegister(t *testing.T) {
+	cl := mediaClassified(t)
+	versions := []*Table{MustEncode(cl, DefaultParams), MustEncode(cl, Params{P: 3, K: 2})}
+	extra := make([]*Table, 8)
+	for i := range extra {
+		o := randomHierarchy(rand.New(rand.NewSource(int64(i))), 6)
+		o.URI = fmt.Sprintf("http://rand.example/ont/%d", i)
+		extra[i] = MustEncode(ontology.MustClassify(o), DefaultParams)
+	}
+	r := NewRegistry()
+	r.Register(versions[0])
+	uri := versions[0].URI()
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			r.Register(versions[i%2])
+			r.Register(extra[i%len(extra)])
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				ts := r.Tables()
+				a := ts.Intern(ontology.Ref{Ontology: uri, Name: "DigitalResource"})
+				b := ts.Intern(ontology.Ref{Ontology: uri, Name: "Movie"})
+				if d, ok := ConceptDistance(a, b); !ok || d != 2 {
+					t.Errorf("d(DigitalResource, Movie) = (%d, %v), want (2, true)", d, ok)
+					return
+				}
+				if tbl, ok := r.Resolve(uri); !ok || tbl.Version() != "1" {
+					t.Error("Resolve lost the media table")
+					return
+				}
+				if r.Len() < 1 || len(r.URIs()) < 1 {
+					t.Error("registry shrank")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if r.Len() != 1+len(extra) {
+		t.Fatalf("Len = %d, want %d", r.Len(), 1+len(extra))
+	}
+}
+
+// BenchmarkConceptDistance compares the interned distance with the
+// by-name Table.Distance over every concept pair of one hierarchy.
+func BenchmarkConceptDistance(b *testing.B) {
+	const n = 40
+	tbl := MustEncode(ontology.MustClassify(randomHierarchy(rand.New(rand.NewSource(7)), n)), DefaultParams)
+	r := NewRegistry()
+	r.Register(tbl)
+	ts := r.Tables()
+	names := make([]string, n)
+	concepts := make([]Concept, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("C%03d", i)
+		concepts[i] = ts.Intern(ontology.Ref{Ontology: tbl.URI(), Name: names[i]})
+	}
+	b.Run("interned", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, a := range concepts {
+				for _, c := range concepts {
+					ConceptDistance(a, c)
+				}
+			}
+		}
+	})
+	b.Run("by-name", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, a := range names {
+				for _, c := range names {
+					tbl.Distance(a, c)
+				}
+			}
+		}
+	})
+}
+
 // randomHierarchy builds a random DAG ontology with n classes: class i picks
 // up to 3 parents among classes [0, i), and a few random equivalences.
 func randomHierarchy(rng *rand.Rand, n int) *ontology.Ontology {
@@ -302,12 +427,20 @@ func TestPropertyDistanceEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		reg := NewRegistry()
+		reg.Register(tbl)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				a, b := fmt.Sprintf("C%03d", i), fmt.Sprintf("C%03d", j)
 				gd, gok := tbl.Distance(a, b)
 				wd, wok := cl.Distance(a, b)
 				if gd != wd || gok != wok {
+					return false
+				}
+				ts := reg.Tables()
+				id, iok := ConceptDistance(ts.Intern(ontology.Ref{Ontology: tbl.URI(), Name: a}), ts.Intern(ontology.Ref{Ontology: tbl.URI(), Name: b}))
+				if id != wd || iok != wok {
+					t.Logf("seed=%d n=%d: interned d(%s,%s) = (%d,%v), want (%d,%v)", seed, n, a, b, id, iok, wd, wok)
 					return false
 				}
 			}

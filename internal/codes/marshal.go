@@ -53,11 +53,11 @@ func MarshalTable(t *Table) ([]byte, error) {
 		for _, iv := range c.Covers {
 			dto.Covers[i] = append(dto.Covers[i], [2]float64{iv.Lo, iv.Hi})
 		}
-		pairs := make([][2]int, 0, len(t.ancestors[i]))
-		for a, d := range t.ancestors[i] {
-			pairs = append(pairs, [2]int{a, d})
+		own := t.ancestors[t.ancStart[i]:t.ancStart[i+1]]
+		pairs := make([][2]int, len(own))
+		for j, a := range own {
+			pairs[j] = [2]int{int(a.index), int(a.hops)}
 		}
-		sort.Slice(pairs, func(x, y int) bool { return pairs[x][0] < pairs[y][0] })
 		dto.Ancestors[i] = pairs
 	}
 	return json.Marshal(dto)
@@ -79,14 +79,14 @@ func UnmarshalTable(data []byte) (*Table, error) {
 			n, len(dto.Primary), len(dto.Covers), len(dto.Depth), len(dto.Ancestors))
 	}
 	t := &Table{
-		uri:       dto.URI,
-		version:   dto.Version,
-		params:    params,
-		names:     make(map[string]int),
-		codes:     make([]Code, n),
-		depth:     append([]int(nil), dto.Depth...),
-		ancestors: make([]map[int]int, n),
+		uri:     dto.URI,
+		version: dto.Version,
+		params:  params,
+		names:   make(map[string]int),
+		codes:   make([]Code, n),
+		depth:   append([]int(nil), dto.Depth...),
 	}
+	ancestors := make([]map[int]int, n)
 	for i := 0; i < n; i++ {
 		if len(dto.Members[i]) == 0 {
 			return nil, fmt.Errorf("codes: concept %d has no member names", i)
@@ -107,13 +107,14 @@ func UnmarshalTable(data []byte) (*Table, error) {
 		if len(t.codes[i].Covers) == 0 {
 			return nil, fmt.Errorf("codes: concept %d has no covers", i)
 		}
-		t.ancestors[i] = make(map[int]int, len(dto.Ancestors[i]))
+		ancestors[i] = make(map[int]int, len(dto.Ancestors[i]))
 		for _, pair := range dto.Ancestors[i] {
 			if pair[0] < 0 || pair[0] >= n {
 				return nil, fmt.Errorf("codes: concept %d has ancestor index %d out of range", i, pair[0])
 			}
-			t.ancestors[i][pair[0]] = pair[1]
+			ancestors[i][pair[0]] = pair[1]
 		}
 	}
+	t.setAncestors(ancestors)
 	return t, nil
 }

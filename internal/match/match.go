@@ -126,6 +126,81 @@ var (
 	_ ConceptMatcher = (*CodeMatcher)(nil)
 )
 
+// Compiled is a capability with its concept references interned against
+// one codes.Tables generation, so that matching it compares table
+// pointers, concept indices and intervals instead of hashing names.
+// Compiled forms are immutable; a directory builds them once per stored
+// capability and once per request.
+type Compiled struct {
+	cap *profile.Capability
+	// tables is the generation the handles were interned against; nil
+	// when the capability's matcher cannot intern, so only the reference
+	// path over cap applies.
+	tables *codes.Tables
+	c      concepts[codes.Concept]
+}
+
+// Capability returns the capability the form was compiled from.
+func (c *Compiled) Capability() *profile.Capability { return c.cap }
+
+// Tables returns the generation m interns against: the current tables of
+// a CodeMatcher's registry. It is nil for every other matcher, including
+// wrappers around a CodeMatcher, which then keep the reference path.
+func Tables(m ConceptMatcher) *codes.Tables {
+	if cm, ok := m.(*CodeMatcher); ok {
+		return cm.reg.Tables()
+	}
+	return nil
+}
+
+// Compile interns c's concept references against ts, in one backing
+// slice for all of them. With ts nil the form carries c alone.
+func Compile(ts *codes.Tables, c *profile.Capability) Compiled {
+	out := Compiled{cap: c, tables: ts}
+	if ts == nil {
+		return out
+	}
+	all := make([]codes.Concept, 0, len(c.Inputs)+len(c.Outputs)+len(c.Properties))
+	intern := func(refs []ontology.Ref) []codes.Concept {
+		start := len(all)
+		for _, r := range refs {
+			all = append(all, ts.Intern(r))
+		}
+		return all[start:len(all):len(all)]
+	}
+	out.c = concepts[codes.Concept]{
+		category:   ts.Intern(c.Category),
+		inputs:     intern(c.Inputs),
+		outputs:    intern(c.Outputs),
+		properties: intern(c.Properties),
+	}
+	return out
+}
+
+// interned is the distancer over handles from one generation.
+type interned struct{}
+
+// Distance implements distancer.
+//
+//sdp:hotpath
+func (interned) Distance(a, b codes.Concept) (int, bool) {
+	return codes.ConceptDistance(a, b)
+}
+
+// CompiledDistance is SemanticDistance(m, c1.Capability(), c2.Capability()).
+// When both forms were interned against the same generation it runs the
+// matching rules over their handles; otherwise, or when m cannot intern,
+// it takes the reference path through m, so handles from different
+// generations are never compared.
+//
+//sdp:hotpath
+func CompiledDistance(m ConceptMatcher, c1, c2 *Compiled) (int, bool) {
+	if c1.tables != nil && c1.tables == c2.tables {
+		return semanticDistance[codes.Concept](interned{}, &c1.c, &c2.c)
+	}
+	return SemanticDistance(m, c1.cap, c2.cap)
+}
+
 // Match reports whether provided capability c1 can substitute for required
 // capability c2 under the relation described in the package comment.
 //
@@ -142,12 +217,41 @@ func Match(m ConceptMatcher, c1, c2 *profile.Capability) bool {
 //
 //sdp:hotpath
 func SemanticDistance(m ConceptMatcher, c1, c2 *profile.Capability) (int, bool) {
+	a, b := refsOf(c1), refsOf(c2)
+	return semanticDistance[ontology.Ref](m, &a, &b)
+}
+
+// distancer answers d(a, b) over one concept representation: qualified
+// references (ConceptMatcher) or interned handles (interned).
+type distancer[C any] interface {
+	Distance(a, b C) (int, bool)
+}
+
+// concepts holds the concept references of one capability in
+// representation C; the matching rules below read nothing else.
+type concepts[C any] struct {
+	category   C
+	inputs     []C
+	outputs    []C
+	properties []C
+}
+
+// refsOf views a capability's references without copying them.
+func refsOf(c *profile.Capability) concepts[ontology.Ref] {
+	return concepts[ontology.Ref]{category: c.Category, inputs: c.Inputs, outputs: c.Outputs, properties: c.Properties}
+}
+
+// semanticDistance is the one body of the matching rules, shared by the
+// reference path over qualified names and the interned path.
+//
+//sdp:hotpath
+func semanticDistance[C any, M distancer[C]](m M, c1, c2 *concepts[C]) (int, bool) {
 	total := 0
 
 	// Inputs: every input expected by the provider c1 must subsume an
 	// input offered by the requester c2.
-	for _, expected := range c1.Inputs {
-		d, ok := bestDistanceFrom(m, expected, c2.Inputs)
+	for _, expected := range c1.inputs {
+		d, ok := bestDistanceFrom(m, expected, c2.inputs)
 		if !ok {
 			return 0, false
 		}
@@ -155,8 +259,8 @@ func SemanticDistance(m ConceptMatcher, c1, c2 *profile.Capability) (int, bool) 
 	}
 	// Outputs: every output expected by the requester c2 must be matched
 	// by a (possibly more general) output offered by the provider c1.
-	for _, expected := range c2.Outputs {
-		d, ok := bestDistanceTo(m, c1.Outputs, expected)
+	for _, expected := range c2.outputs {
+		d, ok := bestDistanceTo(m, c1.outputs, expected)
 		if !ok {
 			return 0, false
 		}
@@ -168,12 +272,12 @@ func SemanticDistance(m ConceptMatcher, c1, c2 *profile.Capability) (int, bool) 
 	// Figure 1 (provided DigitalServer subsumes required VideoServer).
 	// Iterated without materializing PropertySet: this path runs once per
 	// visited vertex of every directory query.
-	d, ok := bestPropertyDistance(m, c1, c2.Category)
+	d, ok := bestPropertyDistance(m, c1, c2.category)
 	if !ok {
 		return 0, false
 	}
 	total += d
-	for _, required := range c2.Properties {
+	for _, required := range c2.properties {
 		d, ok := bestPropertyDistance(m, c1, required)
 		if !ok {
 			return 0, false
@@ -187,12 +291,12 @@ func SemanticDistance(m ConceptMatcher, c1, c2 *profile.Capability) (int, bool) 
 // properties.
 //
 //sdp:hotpath
-func bestPropertyDistance(m ConceptMatcher, c1 *profile.Capability, to ontology.Ref) (int, bool) {
+func bestPropertyDistance[C any, M distancer[C]](m M, c1 *concepts[C], to C) (int, bool) {
 	best, found := 0, false
-	if d, ok := m.Distance(c1.Category, to); ok {
+	if d, ok := m.Distance(c1.category, to); ok {
 		best, found = d, true
 	}
-	for _, p := range c1.Properties {
+	for _, p := range c1.properties {
 		if d, ok := m.Distance(p, to); ok && (!found || d < best) {
 			best, found = d, true
 		}
@@ -203,7 +307,7 @@ func bestPropertyDistance(m ConceptMatcher, c1 *profile.Capability, to ontology.
 // bestDistanceFrom finds min d(from, cand) over candidates.
 //
 //sdp:hotpath
-func bestDistanceFrom(m ConceptMatcher, from ontology.Ref, candidates []ontology.Ref) (int, bool) {
+func bestDistanceFrom[C any, M distancer[C]](m M, from C, candidates []C) (int, bool) {
 	best, found := 0, false
 	for _, cand := range candidates {
 		if d, ok := m.Distance(from, cand); ok && (!found || d < best) {
@@ -216,7 +320,7 @@ func bestDistanceFrom(m ConceptMatcher, from ontology.Ref, candidates []ontology
 // bestDistanceTo finds min d(cand, to) over candidates.
 //
 //sdp:hotpath
-func bestDistanceTo(m ConceptMatcher, candidates []ontology.Ref, to ontology.Ref) (int, bool) {
+func bestDistanceTo[C any, M distancer[C]](m M, candidates []C, to C) (int, bool) {
 	best, found := 0, false
 	for _, cand := range candidates {
 		if d, ok := m.Distance(cand, to); ok && (!found || d < best) {

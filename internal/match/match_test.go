@@ -271,6 +271,9 @@ func TestPropertyBackendsAgree(t *testing.T) {
 			for i := 0; i < rng.Intn(4); i++ {
 				c.Outputs = append(c.Outputs, ref())
 			}
+			for i := 0; i < rng.Intn(3); i++ {
+				c.Properties = append(c.Properties, ref())
+			}
 			return c
 		}
 		for trial := 0; trial < 20; trial++ {
@@ -280,6 +283,11 @@ func TestPropertyBackendsAgree(t *testing.T) {
 			d2, ok2 := SemanticDistance(cm, c1, c2)
 			if ok1 != ok2 || (ok1 && d1 != d2) {
 				t.Logf("seed=%d trial=%d: hierarchy=(%d,%v) codes=(%d,%v)", seed, trial, d1, ok1, d2, ok2)
+				return false
+			}
+			k1, k2 := Compile(Tables(cm), c1), Compile(Tables(cm), c2)
+			if d3, ok3 := CompiledDistance(cm, &k1, &k2); ok3 != ok1 || d3 != d2 {
+				t.Logf("seed=%d trial=%d: interned=(%d,%v) codes=(%d,%v)", seed, trial, d3, ok3, d2, ok2)
 				return false
 			}
 		}
@@ -320,5 +328,77 @@ func TestExplainDegrees(t *testing.T) {
 	rep = Explain(cm, game, requested)
 	if rep.Matched || rep.Degree != "" {
 		t.Fatalf("failed match report = %+v", rep)
+	}
+}
+
+// wrapped hides a CodeMatcher behind another ConceptMatcher, like a
+// counting wrapper would: it cannot intern, so it keeps the reference path.
+type wrapped struct{ m *CodeMatcher }
+
+func (w wrapped) Distance(a, b ontology.Ref) (int, bool) { return w.m.Distance(a, b) }
+
+// TestCompiledGenerations checks when CompiledDistance may use handles:
+// only for two forms interned against the same Tables generation. Forms
+// from different generations, and matchers that cannot intern, answer
+// through the reference path over the registry's current tables.
+func TestCompiledGenerations(t *testing.T) {
+	_, cm := fixtureMatchers(t)
+	provided := profile.WorkstationService().Capability("SendDigitalStream")
+	requested := profile.PDAService().Required[0]
+	old := Tables(cm)
+	p, r := Compile(old, provided), Compile(old, requested)
+	if d, ok := CompiledDistance(cm, &p, &r); !ok || d != 3 {
+		t.Fatalf("interned distance = (%d, %v), want (3, true)", d, ok)
+	}
+	if Tables(wrapped{cm}) != nil || Tables(NewHierarchyMatcher()) != nil {
+		t.Fatal("only a CodeMatcher interns")
+	}
+
+	// Replace the media table with one where VideoResource is no longer
+	// a DigitalResource: the provider's input stops subsuming the
+	// requester's.
+	media := ontology.New(profile.MediaOntologyURI, "2")
+	for _, c := range profile.MediaOntology().Classes() {
+		c := *c
+		if c.Name == "VideoResource" {
+			c.SubClassOf = []string{"Resource"}
+		}
+		media.MustAddClass(c)
+	}
+	cm.reg.Register(codes.MustEncode(ontology.MustClassify(media), codes.DefaultParams))
+	if Tables(cm) == old {
+		t.Fatal("Register did not publish a new generation")
+	}
+	want, wantOK := SemanticDistance(cm, provided, requested)
+	if wantOK {
+		t.Fatal("replaced hierarchy still matches; the fixture change is ineffective")
+	}
+	fresh := Compile(Tables(cm), requested)
+	if d, ok := CompiledDistance(cm, &p, &fresh); ok != wantOK || d != want {
+		t.Fatalf("mixed generations = (%d, %v), want the reference (%d, %v)", d, ok, want, wantOK)
+	}
+	byName := Compile(nil, requested)
+	if d, ok := CompiledDistance(wrapped{cm}, &byName, &byName); !ok || d != 0 {
+		t.Fatalf("reference-only form = (%d, %v), want (0, true)", d, ok)
+	}
+}
+
+// TestCompiledAllocations pins the allocation budget of the interned
+// path: matching allocates nothing, and compiling a capability needs one
+// backing slice for all of its references.
+func TestCompiledAllocations(t *testing.T) {
+	_, cm := fixtureMatchers(t)
+	provided := profile.WorkstationService().Capability("SendDigitalStream")
+	requested := profile.PDAService().Required[0]
+	ts := Tables(cm)
+	p, r := Compile(ts, provided), Compile(ts, requested)
+	if n := testing.AllocsPerRun(100, func() { CompiledDistance(cm, &p, &r) }); n != 0 {
+		t.Errorf("CompiledDistance allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { SemanticDistance(cm, provided, requested) }); n != 0 {
+		t.Errorf("SemanticDistance allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { r = Compile(ts, requested) }); n > 1 {
+		t.Errorf("Compile allocates %v times, want at most 1", n)
 	}
 }

@@ -38,8 +38,9 @@ func (d *LinearDirectory) Register(s *profile.Service) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	ts := match.Tables(d.matcher)
 	for _, c := range s.Provided {
-		e := &Entry{Capability: c.Clone(), Service: s.Name, Provider: s.Provider}
+		e := newEntry(ts, s, c)
 		d.entries = append(d.entries, e)
 		d.byService[s.Name] = append(d.byService[s.Name], e)
 	}
@@ -72,13 +73,15 @@ func (d *LinearDirectory) Deregister(service string) bool {
 // Query matches the request against every stored capability and returns
 // the matches sorted by ascending distance. Queries only read the entry
 // list, so they take the read lock and run concurrently with each other.
+// The request is interned once, as in Directory.Query.
 func (d *LinearDirectory) Query(req *profile.Capability) []Result {
+	creq := match.Compile(match.Tables(d.matcher), req)
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	var results []Result
 	for _, e := range d.entries {
 		d.matchOps.Add(1)
-		if dist, ok := match.SemanticDistance(d.matcher, e.Capability, req); ok {
+		if dist, ok := match.CompiledDistance(d.matcher, &e.compiled, &creq); ok {
 			if !profile.QoSSatisfies(e.Capability, req) {
 				continue
 			}

@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sariadne/internal/codes"
 	"sariadne/internal/match"
 	"sariadne/internal/profile"
 )
@@ -48,6 +49,17 @@ type Entry struct {
 	// Service and Provider identify the advertisement's origin.
 	Service  string
 	Provider string
+	// compiled is Capability interned against the matcher's tables
+	// generation current when the entry was registered. Once the tables
+	// move on, CompiledDistance matches the entry by name.
+	compiled match.Compiled
+}
+
+// newEntry stores a copy of capability c of service s, compiled against
+// ts.
+func newEntry(ts *codes.Tables, s *profile.Service, c *profile.Capability) *Entry {
+	c = c.Clone()
+	return &Entry{Capability: c, Service: s.Name, Provider: s.Provider, compiled: match.Compile(ts, c)}
 }
 
 // String renders the entry as service/capability.
@@ -64,9 +76,9 @@ type Result struct {
 
 // vertex is an equivalence class of capabilities in one graph.
 type vertex struct {
-	// rep is the representative capability used for graph navigation; all
-	// entries in the vertex match rep mutually.
-	rep     *profile.Capability
+	// rep is the compiled representative capability used for graph
+	// navigation; all entries in the vertex match rep mutually.
+	rep     match.Compiled
 	entries []*Entry
 	preds   map[*vertex]struct{}
 	succs   map[*vertex]struct{}
@@ -224,14 +236,17 @@ func (d *Directory) candidateGraphsLocked(uris []string) []*graph {
 	return out
 }
 
-// distance wraps match.SemanticDistance and counts match operations, the
+// distance wraps match.CompiledDistance and counts match operations, the
 // quantity the paper's directory optimization minimizes.
-func (d *Directory) distance(c1, c2 *profile.Capability) (int, bool) {
+//
+//sdp:hotpath
+func (d *Directory) distance(c1, c2 *match.Compiled) (int, bool) {
 	d.matchOps.Add(1)
-	return match.SemanticDistance(d.matcher, c1, c2)
+	return match.CompiledDistance(d.matcher, c1, c2)
 }
 
-func (d *Directory) matches(c1, c2 *profile.Capability) bool {
+//sdp:hotpath
+func (d *Directory) matches(c1, c2 *match.Compiled) bool {
 	_, ok := d.distance(c1, c2)
 	return ok
 }
@@ -273,8 +288,9 @@ func (d *Directory) Register(s *profile.Service) error {
 			d.removeEntryLocked(e)
 		}
 	}
+	ts := match.Tables(d.matcher)
 	for _, c := range s.Provided {
-		e := &Entry{Capability: c.Clone(), Service: s.Name, Provider: s.Provider}
+		e := newEntry(ts, s, c)
 		d.insertLocked(e)
 		d.byService[s.Name] = append(d.byService[s.Name], e)
 	}
@@ -290,8 +306,7 @@ func (d *Directory) Register(s *profile.Service) error {
 // graph is created (capabilities unrelated to everything become singleton
 // graphs, preserving the "graphs contain related capabilities" invariant).
 func (d *Directory) insertLocked(e *Entry) {
-	c := e.Capability
-	uris := c.Ontologies()
+	uris := e.Capability.Ontologies()
 	for _, g := range d.candidateGraphsLocked(uris) {
 		if d.insertIntoGraphLocked(g, e) {
 			return
@@ -299,7 +314,7 @@ func (d *Directory) insertLocked(e *Entry) {
 	}
 	// No graph accepted the capability: start a new one.
 	g := newGraph()
-	v := &vertex{rep: c, entries: []*Entry{e}, preds: map[*vertex]struct{}{}, succs: map[*vertex]struct{}{}}
+	v := &vertex{rep: e.compiled, entries: []*Entry{e}, preds: map[*vertex]struct{}{}, succs: map[*vertex]struct{}{}}
 	g.vertices[v] = struct{}{}
 	g.roots[v] = struct{}{}
 	g.leaves[v] = struct{}{}
@@ -322,13 +337,13 @@ func (d *Directory) insertLocked(e *Entry) {
 // frontier of S — a robust completion of the paper's root/leaf probing
 // algorithm.
 func (d *Directory) insertIntoGraphLocked(g *graph, e *Entry) bool {
-	c := e.Capability
+	c := &e.compiled
 
 	// M: vertices that subsume C (can substitute for C).
 	m := make(map[*vertex]struct{})
 	var frontier []*vertex
 	for r := range g.roots {
-		if d.matches(r.rep, c) {
+		if d.matches(&r.rep, c) {
 			m[r] = struct{}{}
 			frontier = append(frontier, r)
 		}
@@ -341,7 +356,7 @@ func (d *Directory) insertIntoGraphLocked(g *graph, e *Entry) bool {
 				if _, seen := m[s]; seen {
 					continue
 				}
-				if d.matches(s.rep, c) {
+				if d.matches(&s.rep, c) {
 					m[s] = struct{}{}
 					next = append(next, s)
 				}
@@ -357,7 +372,7 @@ func (d *Directory) insertIntoGraphLocked(g *graph, e *Entry) bool {
 	sset := make(map[*vertex]struct{})
 	frontier = frontier[:0]
 	for l := range g.leaves {
-		if d.matches(c, l.rep) {
+		if d.matches(c, &l.rep) {
 			sset[l] = struct{}{}
 			frontier = append(frontier, l)
 		}
@@ -369,7 +384,7 @@ func (d *Directory) insertIntoGraphLocked(g *graph, e *Entry) bool {
 				if _, seen := sset[p]; seen {
 					continue
 				}
-				if d.matches(c, p.rep) {
+				if d.matches(c, &p.rep) {
 					sset[p] = struct{}{}
 					next = append(next, p)
 				}
@@ -387,7 +402,7 @@ func (d *Directory) insertIntoGraphLocked(g *graph, e *Entry) bool {
 	for v := range m {
 		if _, both := sset[v]; both {
 			v.entries = append(v.entries, e)
-			d.indexGraphLocked(g, c.Ontologies())
+			d.indexGraphLocked(g, e.Capability.Ontologies())
 			d.markDirtyLocked(g)
 			entriesGauge.Add(1)
 			insertDepth.ObserveInt(int64(depth))
@@ -424,7 +439,7 @@ func (d *Directory) insertIntoGraphLocked(g *graph, e *Entry) bool {
 		}
 	}
 
-	nv := &vertex{rep: c, entries: []*Entry{e}, preds: map[*vertex]struct{}{}, succs: map[*vertex]struct{}{}}
+	nv := &vertex{rep: e.compiled, entries: []*Entry{e}, preds: map[*vertex]struct{}{}, succs: map[*vertex]struct{}{}}
 	g.vertices[nv] = struct{}{}
 	edgeDelta := 0
 	for _, p := range parents {
@@ -453,7 +468,7 @@ func (d *Directory) insertIntoGraphLocked(g *graph, e *Entry) bool {
 	if len(children) == 0 {
 		g.leaves[nv] = struct{}{}
 	}
-	d.indexGraphLocked(g, c.Ontologies())
+	d.indexGraphLocked(g, e.Capability.Ontologies())
 	d.markDirtyLocked(g)
 	verticesGauge.Add(1)
 	entriesGauge.Add(1)
@@ -551,12 +566,15 @@ func (d *Directory) removeEntryLocked(e *Entry) {
 //
 // The read path is lock-free: it loads the current immutable snapshot
 // and walks compiled graphs with pooled scratch, so queries never block
-// writers and scale with reader parallelism.
+// writers and scale with reader parallelism. The request is interned
+// once, against the matcher's current tables; stored forms interned
+// against an older generation are matched by name.
 func (d *Directory) Query(req *profile.Capability) []Result {
 	start := time.Now()
 	opsBefore := d.matchOps.Load()
 	rootProbes := 0
 	snap := d.snap.Load()
+	creq := match.Compile(match.Tables(d.matcher), req)
 	// Filter graphs by the ontologies a matching provider must use (the
 	// request's outputs and properties); the request's offered inputs may
 	// go unused by a provider, so their ontologies must not prune.
@@ -565,13 +583,13 @@ func (d *Directory) Query(req *profile.Capability) []Result {
 	for _, g := range snap.candidateGraphs(uris) {
 		sp := scratchFor(len(g.vertices))
 		matched := *sp
-		rootProbes += d.walkGraph(g, req, matched)
+		rootProbes += d.walkGraph(g, &creq, matched)
 		for i := range g.vertices {
 			if !matched[i] {
 				continue
 			}
 			for _, e := range g.vertices[i].entries {
-				dist, ok := d.distance(e.Capability, req)
+				dist, ok := d.distance(&e.compiled, &creq)
 				if !ok {
 					continue
 				}
@@ -610,7 +628,7 @@ func (d *Directory) Query(req *profile.Capability) []Result {
 // traversal state.
 //
 //sdp:hotpath
-func (d *Directory) walkGraph(g *snapGraph, req *profile.Capability, matched []bool) int {
+func (d *Directory) walkGraph(g *snapGraph, req *match.Compiled, matched []bool) int {
 	rootProbes := 0
 	for i := range g.vertices {
 		v := &g.vertices[i]
@@ -625,7 +643,7 @@ func (d *Directory) walkGraph(g *snapGraph, req *profile.Capability, matched []b
 				}
 			}
 		}
-		matched[i] = probe && d.matches(v.rep, req)
+		matched[i] = probe && d.matches(&v.rep, req)
 	}
 	return rootProbes
 }
@@ -668,7 +686,7 @@ func (d *Directory) Snapshot() string {
 			order[j] = j
 		}
 		sort.Slice(order, func(a, c int) bool {
-			return g.vertices[order[a]].rep.Name < g.vertices[order[c]].rep.Name
+			return g.vertices[order[a]].rep.Capability().Name < g.vertices[order[c]].rep.Capability().Name
 		})
 		for _, j := range order {
 			v := &g.vertices[j]
@@ -678,7 +696,7 @@ func (d *Directory) Snapshot() string {
 			}
 			succs := make([]string, 0, len(v.succs))
 			for _, s := range v.succs {
-				succs = append(succs, g.vertices[s].rep.Name)
+				succs = append(succs, g.vertices[s].rep.Capability().Name)
 			}
 			sort.Strings(succs)
 			marker := ""
@@ -688,7 +706,7 @@ func (d *Directory) Snapshot() string {
 			if v.leaf {
 				marker += " [leaf]"
 			}
-			fmt.Fprintf(&b, "  %s%s -> {%s} entries: %s\n", v.rep.Name, marker, strings.Join(succs, ", "), strings.Join(names, ", "))
+			fmt.Fprintf(&b, "  %s%s -> {%s} entries: %s\n", v.rep.Capability().Name, marker, strings.Join(succs, ", "), strings.Join(names, ", "))
 		}
 	}
 	return b.String()
@@ -703,18 +721,18 @@ func (d *Directory) checkInvariants() error {
 		// Roots/leaves bookkeeping.
 		for v := range g.vertices {
 			if (len(v.preds) == 0) != isIn(g.roots, v) {
-				return fmt.Errorf("graph %d: root bookkeeping wrong for %s", gi, v.rep.Name)
+				return fmt.Errorf("graph %d: root bookkeeping wrong for %s", gi, v.rep.Capability().Name)
 			}
 			if (len(v.succs) == 0) != isIn(g.leaves, v) {
-				return fmt.Errorf("graph %d: leaf bookkeeping wrong for %s", gi, v.rep.Name)
+				return fmt.Errorf("graph %d: leaf bookkeeping wrong for %s", gi, v.rep.Capability().Name)
 			}
 			for s := range v.succs {
 				if _, ok := s.preds[v]; !ok {
-					return fmt.Errorf("graph %d: asymmetric edge %s -> %s", gi, v.rep.Name, s.rep.Name)
+					return fmt.Errorf("graph %d: asymmetric edge %s -> %s", gi, v.rep.Capability().Name, s.rep.Capability().Name)
 				}
 			}
 			if len(v.entries) == 0 {
-				return fmt.Errorf("graph %d: empty vertex %s", gi, v.rep.Name)
+				return fmt.Errorf("graph %d: empty vertex %s", gi, v.rep.Capability().Name)
 			}
 		}
 		// Acyclicity via DFS coloring.
@@ -743,8 +761,8 @@ func (d *Directory) checkInvariants() error {
 		// Edges respect Match.
 		for v := range g.vertices {
 			for s := range v.succs {
-				if !match.Match(d.matcher, v.rep, s.rep) {
-					return fmt.Errorf("graph %d: edge %s -> %s violates Match", gi, v.rep.Name, s.rep.Name)
+				if !match.Match(d.matcher, v.rep.Capability(), s.rep.Capability()) {
+					return fmt.Errorf("graph %d: edge %s -> %s violates Match", gi, v.rep.Capability().Name, s.rep.Capability().Name)
 				}
 			}
 		}
@@ -770,10 +788,10 @@ func (d *Directory) checkInvariants() error {
 		for i := range sg.vertices {
 			v := &sg.vertices[i]
 			if v.root != (len(v.preds) == 0) {
-				return fmt.Errorf("snapshot graph %d: root flag wrong for %s", gi, v.rep.Name)
+				return fmt.Errorf("snapshot graph %d: root flag wrong for %s", gi, v.rep.Capability().Name)
 			}
 			if v.leaf != (len(v.succs) == 0) {
-				return fmt.Errorf("snapshot graph %d: leaf flag wrong for %s", gi, v.rep.Name)
+				return fmt.Errorf("snapshot graph %d: leaf flag wrong for %s", gi, v.rep.Capability().Name)
 			}
 			for _, p := range v.preds {
 				if int(p) >= i {

@@ -16,7 +16,7 @@ import (
 	"sort"
 	"sync"
 
-	"sariadne/internal/profile"
+	"sariadne/internal/match"
 )
 
 // snapVertex is the compiled form of one graph vertex. Predecessors and
@@ -24,7 +24,7 @@ import (
 //
 //sdp:immutable
 type snapVertex struct {
-	rep     *profile.Capability
+	rep     match.Compiled
 	entries []*Entry
 	// preds indices are all smaller than this vertex's own index: the
 	// owning snapGraph stores vertices in topological order, which is
@@ -120,7 +120,7 @@ func newSnapGraph(g *graph) *snapGraph {
 	for v := range g.vertices {
 		verts = append(verts, v)
 	}
-	sort.Slice(verts, func(i, j int) bool { return verts[i].rep.Name < verts[j].rep.Name })
+	sort.Slice(verts, func(i, j int) bool { return verts[i].rep.Capability().Name < verts[j].rep.Capability().Name })
 
 	remaining := make(map[*vertex]int, len(verts))
 	for _, v := range verts {
