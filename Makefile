@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-smoke chaos fmt-check lint lint-json metrics-smoke federation-smoke soak-smoke slo-check store-conformance check clean
+.PHONY: build test race bench bench-smoke chaos fmt-check lint lint-json metrics-smoke federation-smoke soak-smoke slo-check store-conformance perfbench-check check clean
 
 build:
 	$(GO) build ./...
@@ -97,8 +97,14 @@ federation-smoke:
 soak-smoke:
 	$(GO) run ./cmd/soaksmoke
 
+# perfbench-check vets and tests the benchmark module. perfbench/ has its
+# own go.mod, so ./... from the root never compiles it, and a changed
+# internal signature could otherwise break the benchmark unseen.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # check is the full CI gate.
-check: build lint test race store-conformance metrics-smoke federation-smoke soak-smoke slo-check
+check: build lint test race store-conformance perfbench-check metrics-smoke federation-smoke soak-smoke slo-check
 
 clean:
 	$(GO) clean ./...

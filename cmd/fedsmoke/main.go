@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"sariadne/internal/profile"
+	"sariadne/internal/sdpproto"
 	"sariadne/internal/tenant"
 )
 
@@ -53,39 +54,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("fedsmoke: ok")
-}
-
-// request and response mirror the sdpd client protocol: one JSON
-// datagram each way.
-type request struct {
-	Op    string `json:"op"`
-	Doc   string `json:"doc,omitempty"`
-	Name  string `json:"name,omitempty"`
-	Token string `json:"token,omitempty"`
-	Trace bool   `json:"trace,omitempty"`
-}
-
-type response struct {
-	OK      bool   `json:"ok"`
-	Error   string `json:"error,omitempty"`
-	Code    string `json:"code,omitempty"`
-	Partial bool   `json:"partial,omitempty"`
-	Hits    []struct {
-		Service    string `json:"service"`
-		Capability string `json:"capability"`
-		Provider   string `json:"provider"`
-	} `json:"hits,omitempty"`
-	Peers []struct {
-		Addr       string `json:"addr"`
-		Entries    int    `json:"entries"`
-		HasSummary bool   `json:"has_summary"`
-	} `json:"peers,omitempty"`
-	TraceID uint64 `json:"trace_id,omitempty"`
-	Spans   []struct {
-		Node  string `json:"node"`
-		Event string `json:"event"`
-		Peer  string `json:"peer,omitempty"`
-	} `json:"spans,omitempty"`
 }
 
 // daemon is one booted sdpd process.
@@ -142,7 +110,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	resp, err := send(b.clientAddr, request{Op: "register", Doc: string(doc)})
+	resp, err := b.do(sdpproto.Request{Op: "register", Doc: string(doc)})
 	if err != nil {
 		return fmt.Errorf("register on %s: %w", b.name, err)
 	}
@@ -159,7 +127,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	resp, err = send(c.clientAddr, request{Op: "query", Doc: string(req)})
+	resp, err = c.do(sdpproto.Request{Op: "query", Doc: string(req)})
 	if err != nil {
 		return fmt.Errorf("query on %s: %w", c.name, err)
 	}
@@ -265,20 +233,20 @@ func checkAdmission(bin string) error {
 	// tenant under -anon-reads — and a valid tenant writing outside its
 	// namespace (both forbidden). None may regenerate a summary.
 	for _, d := range all {
-		if err := expectDenied(d, request{Op: "register", Doc: string(doc), Token: "sdp1.forged.token"}, "unauthenticated"); err != nil {
+		if err := expectDenied(d, sdpproto.Request{Op: "register", Doc: string(doc), Token: "sdp1.forged.token"}, "unauthenticated"); err != nil {
 			return err
 		}
-		if err := expectDenied(d, request{Op: "register", Doc: string(doc)}, "forbidden"); err != nil {
+		if err := expectDenied(d, sdpproto.Request{Op: "register", Doc: string(doc)}, "forbidden"); err != nil {
 			return err
 		}
-		if err := expectDenied(d, request{Op: "register", Doc: string(qualified), Token: malloryTok}, "forbidden"); err != nil {
+		if err := expectDenied(d, sdpproto.Request{Op: "register", Doc: string(qualified), Token: malloryTok}, "forbidden"); err != nil {
 			return err
 		}
 	}
 
 	// The authorized tenant-qualified publish lands on B and resolves
 	// from C across the backbone.
-	resp, err := send(b.clientAddr, request{Op: "register", Doc: string(qualified), Token: aliceTok})
+	resp, err := b.do(sdpproto.Request{Op: "register", Doc: string(qualified), Token: aliceTok})
 	if err != nil {
 		return fmt.Errorf("authorized register on %s: %w", b.name, err)
 	}
@@ -292,7 +260,7 @@ func checkAdmission(bin string) error {
 	if err != nil {
 		return err
 	}
-	resp, err = send(c.clientAddr, request{Op: "query", Doc: string(req)})
+	resp, err = c.do(sdpproto.Request{Op: "query", Doc: string(req)})
 	if err != nil {
 		return fmt.Errorf("anonymous query on %s: %w", c.name, err)
 	}
@@ -313,7 +281,7 @@ func checkAdmission(bin string) error {
 	// daemon holding an advertisement, so every summary any daemon holds
 	// for A or C must still be empty.
 	for _, d := range all {
-		resp, err := send(d.clientAddr, request{Op: "peers"})
+		resp, err := d.do(sdpproto.Request{Op: "peers"})
 		if err != nil {
 			return fmt.Errorf("peers on %s: %w", d.name, err)
 		}
@@ -321,7 +289,7 @@ func checkAdmission(bin string) error {
 			return fmt.Errorf("peers on %s: %s", d.name, resp.Error)
 		}
 		for _, p := range resp.Peers {
-			if p.Addr != b.fedAddr && p.HasSummary && p.Entries != 0 {
+			if string(p.Addr) != b.fedAddr && p.HasSummary && p.Entries != 0 {
 				return fmt.Errorf("daemon %s sees %d summary entries from %s; denied publishes leaked into a Bloom summary",
 					d.name, p.Entries, p.Addr)
 			}
@@ -332,7 +300,7 @@ func checkAdmission(bin string) error {
 	// burst of 8 is spendable, one of which the register above consumed.
 	limited := false
 	for i := 0; i < 12; i++ {
-		resp, err := send(b.clientAddr, request{Op: "register", Doc: string(qualified), Token: aliceTok})
+		resp, err := b.do(sdpproto.Request{Op: "register", Doc: string(qualified), Token: aliceTok})
 		if err != nil {
 			return fmt.Errorf("burst register %d on %s: %w", i, b.name, err)
 		}
@@ -352,8 +320,8 @@ func checkAdmission(bin string) error {
 
 // expectDenied sends a mutating request that must bounce with the given
 // typed admission code.
-func expectDenied(d *daemon, req request, wantCode string) error {
-	resp, err := send(d.clientAddr, req)
+func expectDenied(d *daemon, req sdpproto.Request, wantCode string) error {
+	resp, err := d.do(req)
 	if err != nil {
 		return fmt.Errorf("denied-publish probe on %s: %w", d.name, err)
 	}
@@ -413,7 +381,7 @@ func checkTenantCounters(url string) error {
 // trace minted by B's process must not share C's entropy word (the
 // collision-proofing the random high word buys).
 func checkTracedQuery(b, c *daemon, req string) error {
-	resp, err := send(c.clientAddr, request{Op: "query", Doc: req, Trace: true})
+	resp, err := c.do(sdpproto.Request{Op: "query", Doc: req, Trace: true})
 	if err != nil {
 		return fmt.Errorf("traced query on %s: %w", c.name, err)
 	}
@@ -455,7 +423,7 @@ func checkTracedQuery(b, c *daemon, req string) error {
 			rec.ID, len(rec.Spans), resp.TraceID, len(resp.Spans))
 	}
 
-	bresp, err := send(b.clientAddr, request{Op: "query", Doc: req, Trace: true})
+	bresp, err := b.do(sdpproto.Request{Op: "query", Doc: req, Trace: true})
 	if err != nil {
 		return fmt.Errorf("traced query on %s: %w", b.name, err)
 	}
@@ -511,7 +479,7 @@ func (d *daemon) stop() {
 // awaitUp polls the client port until the daemon answers a stats op.
 func (d *daemon) awaitUp(deadline time.Time) error {
 	for {
-		if resp, err := send(d.clientAddr, request{Op: "stats"}); err == nil && resp.OK {
+		if resp, err := d.do(sdpproto.Request{Op: "stats"}); err == nil && resp.OK {
 			return nil
 		}
 		if time.Now().After(deadline) {
@@ -547,7 +515,7 @@ func (d *daemon) awaitHealthy(deadline time.Time) error {
 // least want entries, i.e. a remote directory's summary has arrived.
 func (d *daemon) awaitSummary(deadline time.Time, want int) error {
 	for {
-		resp, err := send(d.clientAddr, request{Op: "peers"})
+		resp, err := d.do(sdpproto.Request{Op: "peers"})
 		if err == nil && resp.OK {
 			for _, p := range resp.Peers {
 				if p.HasSummary && p.Entries >= want {
@@ -562,32 +530,9 @@ func (d *daemon) awaitSummary(deadline time.Time, want int) error {
 	}
 }
 
-func send(server string, req request) (*response, error) {
-	conn, err := net.Dial("udp", server)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	data, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	if err := conn.SetDeadline(time.Now().Add(2 * time.Second)); err != nil {
-		return nil, err
-	}
-	if _, err := conn.Write(data); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 256*1024)
-	n, err := conn.Read(buf)
-	if err != nil {
-		return nil, fmt.Errorf("waiting for reply: %w", err)
-	}
-	var resp response
-	if err := json.Unmarshal(buf[:n], &resp); err != nil {
-		return nil, fmt.Errorf("malformed reply: %w", err)
-	}
-	return &resp, nil
+// do sends one request to the daemon's client port.
+func (d *daemon) do(req sdpproto.Request) (*sdpproto.Response, error) {
+	return sdpproto.Send(d.clientAddr, 2*time.Second, req)
 }
 
 var counterLine = regexp.MustCompile(`^(transport_bytes_(?:sent|received)_total) ([0-9.eE+]+)$`)

@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"net/url"
 	"os"
@@ -54,71 +53,11 @@ import (
 	"time"
 
 	"sariadne/internal/profile"
+	"sariadne/internal/sdpproto"
+	"sariadne/internal/telemetry"
 	"sariadne/internal/tenant"
+	"sariadne/internal/transport"
 )
-
-type request struct {
-	Op    string `json:"op"`
-	Doc   string `json:"doc,omitempty"`
-	Name  string `json:"name,omitempty"`
-	Token string `json:"token,omitempty"`
-	Trace bool   `json:"trace,omitempty"`
-}
-
-type hit struct {
-	Service    string `json:"Service"`
-	Capability string `json:"Capability"`
-	Provider   string `json:"Provider"`
-	Distance   int    `json:"Distance"`
-	Directory  string `json:"Directory"`
-}
-
-type response struct {
-	OK          bool     `json:"ok"`
-	Error       string   `json:"error,omitempty"`
-	Code        string   `json:"code,omitempty"`
-	Hits        []hit    `json:"hits,omitempty"`
-	Partial     bool     `json:"partial,omitempty"`
-	Unreachable []string `json:"unreachable,omitempty"`
-	Stats       *struct {
-		Capabilities int      `json:"capabilities"`
-		Ontologies   []string `json:"ontologies"`
-	} `json:"stats,omitempty"`
-	Peers   []peer          `json:"peers,omitempty"`
-	Table   json.RawMessage `json:"table,omitempty"`
-	TraceID uint64          `json:"trace_id,omitempty"`
-	Spans   []span          `json:"spans,omitempty"`
-}
-
-// span mirrors telemetry.Span: one hop-level event recorded by a
-// directory while the traced query crossed the backbone.
-type span struct {
-	Trace  uint64        `json:"trace"`
-	Node   string        `json:"node"`
-	Event  string        `json:"event"`
-	Peer   string        `json:"peer,omitempty"`
-	Hits   int           `json:"hits,omitempty"`
-	Dur    time.Duration `json:"dur,omitempty"`
-	Seq    uint64        `json:"seq"`
-	Time   time.Time     `json:"time,omitzero"`
-	Reason string        `json:"reason,omitempty"`
-}
-
-// peer mirrors sdpd's peerEntry: the daemon's protocol-level view of one
-// backbone peer, with socket stats when the transport tracks them.
-type peer struct {
-	Addr         string    `json:"addr"`
-	LastAnnounce time.Time `json:"last_announce"`
-	Failures     int       `json:"failures"`
-	HasSummary   bool      `json:"has_summary"`
-	Entries      int       `json:"entries"`
-	Transport    *struct {
-		FramesSent     uint64 `json:"frames_sent"`
-		FramesReceived uint64 `json:"frames_received"`
-		BytesSent      uint64 `json:"bytes_sent"`
-		BytesReceived  uint64 `json:"bytes_received"`
-	} `json:"transport,omitempty"`
-}
 
 func main() {
 	server := flag.String("server", "localhost:7474", "sdpd address")
@@ -238,7 +177,7 @@ func main() {
 		return
 	}
 
-	var req request
+	var req sdpproto.Request
 	switch args[0] {
 	case "register", "publish", "query", "ontology", "trace":
 		if len(args) != 2 {
@@ -250,9 +189,9 @@ func main() {
 		}
 		switch args[0] {
 		case "ontology":
-			req = request{Op: "add-ontology", Doc: string(doc)}
+			req = sdpproto.Request{Op: "add-ontology", Doc: string(doc)}
 		case "trace":
-			req = request{Op: "query", Doc: string(doc), Trace: true}
+			req = sdpproto.Request{Op: "query", Doc: string(doc), Trace: true}
 		case "publish":
 			// publish = register with the advertisement name qualified by
 			// the token's tenant namespace, read from the self-describing
@@ -261,30 +200,30 @@ func main() {
 			if err != nil {
 				fatal("publish", "err", err)
 			}
-			req = request{Op: "register", Doc: qualified}
+			req = sdpproto.Request{Op: "register", Doc: qualified}
 		default:
-			req = request{Op: args[0], Doc: string(doc)}
+			req = sdpproto.Request{Op: args[0], Doc: string(doc)}
 		}
 	case "deregister":
 		if len(args) != 2 {
 			usage()
 		}
-		req = request{Op: "deregister", Name: args[1]}
+		req = sdpproto.Request{Op: "deregister", Name: args[1]}
 	case "table":
 		if len(args) != 2 {
 			usage()
 		}
-		req = request{Op: "get-table", Name: args[1]}
+		req = sdpproto.Request{Op: "get-table", Name: args[1]}
 	case "stats":
-		req = request{Op: "stats"}
+		req = sdpproto.Request{Op: "stats"}
 	case "peers":
-		req = request{Op: "peers"}
+		req = sdpproto.Request{Op: "peers"}
 	default:
 		usage()
 	}
 	req.Token = *token
 
-	resp, err := send(*server, *timeout, req)
+	resp, err := sdpproto.Send(*server, *timeout, req)
 	if err != nil {
 		fatal("request failed", "server", *server, "err", err)
 	}
@@ -314,7 +253,7 @@ func main() {
 // renderPeers prints the daemon's live backbone view: who it federates
 // with, how fresh their announcements are, whether their content
 // summaries are held, and how many forwards to them were abandoned.
-func renderPeers(w io.Writer, resp *response) {
+func renderPeers(w io.Writer, resp *sdpproto.Response) {
 	if len(resp.Peers) == 0 {
 		fmt.Fprintln(w, "no backbone peers")
 		return
@@ -341,11 +280,11 @@ func renderPeers(w io.Writer, resp *response) {
 // marker: a partial result is still shown (graceful degradation), but
 // the user is told which backbone directories never answered so they can
 // retry once the network heals.
-func renderQuery(w io.Writer, resp *response) {
+func renderQuery(w io.Writer, resp *sdpproto.Response) {
 	if len(resp.Hits) == 0 {
 		if resp.Partial {
 			fmt.Fprintf(w, "no matching service (partial result: %s unreachable — retry may find more)\n",
-				strings.Join(resp.Unreachable, ", "))
+				joinAddrs(resp.Unreachable))
 			return
 		}
 		fmt.Fprintln(w, "no matching service")
@@ -357,20 +296,29 @@ func renderQuery(w io.Writer, resp *response) {
 	}
 	if resp.Partial {
 		fmt.Fprintf(w, "partial result: %s unreachable — more services may exist\n",
-			strings.Join(resp.Unreachable, ", "))
+			joinAddrs(resp.Unreachable))
 	}
+}
+
+// joinAddrs lists the backbone directories a partial result missed.
+func joinAddrs(addrs []transport.Addr) string {
+	names := make([]string, len(addrs))
+	for i, a := range addrs {
+		names[i] = string(a)
+	}
+	return strings.Join(names, ", ")
 }
 
 // renderTrace prints the hop tree of a traced query: spans in recorded
 // order, indented by forwarding depth so the cross-daemon fan-out reads
 // like a call tree. The origin daemon sits at depth zero; every forward
 // or hedge span pushes its target one level deeper.
-func renderTrace(w io.Writer, resp *response) {
+func renderTrace(w io.Writer, resp *sdpproto.Response) {
 	if resp.TraceID == 0 || len(resp.Spans) == 0 {
 		fmt.Fprintln(w, "no trace returned (daemon predates tracing?)")
 		return
 	}
-	spans := make([]span, len(resp.Spans))
+	spans := make([]telemetry.Span, len(resp.Spans))
 	copy(spans, resp.Spans)
 	sort.Slice(spans, func(i, j int) bool { return spans[i].Seq < spans[j].Seq })
 
@@ -703,28 +651,6 @@ func qualifyDoc(doc []byte, token string) (string, error) {
 	return string(out), nil
 }
 
-// tenantsTable mirrors sdpd's tenantsBody: the admission table behind
-// GET /tenants and the "tenants" op.
-type tenantsTable struct {
-	Enforcing bool   `json:"enforcing"`
-	Auth      string `json:"auth"`
-	Limits    struct {
-		RatePerSec            float64 `json:"rate_per_sec"`
-		Burst                 int     `json:"burst"`
-		MaxLiveServices       int     `json:"max_live_services"`
-		MaxPublishesPerMinute int     `json:"max_publishes_per_minute"`
-	} `json:"limits"`
-	Tenants []struct {
-		Tenant              string  `json:"tenant"`
-		LiveServices        int     `json:"live_services"`
-		PublishesTotal      uint64  `json:"publishes_total"`
-		PublishesThisMinute int     `json:"publishes_this_minute"`
-		RateLimitedTotal    uint64  `json:"rate_limited_total"`
-		DeniedTotal         uint64  `json:"denied_total"`
-		RateTokens          float64 `json:"rate_tokens"`
-	} `json:"tenants"`
-}
-
 // runTenants fetches the admission table from a daemon's HTTP gateway
 // (GET /tenants, admin-only) and renders one row per tenant.
 func runTenants(w io.Writer, addr, token string, timeout time.Duration) error {
@@ -749,13 +675,14 @@ func runTenants(w io.Writer, addr, token string, timeout time.Duration) error {
 	}
 	// The gateway wraps every reply in the protocol envelope; the
 	// admission table sits under its "tenants" key.
-	var envelope struct {
-		Tenants tenantsTable `json:"tenants"`
-	}
+	var envelope sdpproto.Response
 	if err := json.Unmarshal(body, &envelope); err != nil {
 		return fmt.Errorf("malformed reply: %w", err)
 	}
 	table := envelope.Tenants
+	if table == nil {
+		return fmt.Errorf("reply carries no admission table")
+	}
 	mode := "open (no admission)"
 	if table.Enforcing {
 		mode = "enforcing via " + table.Auth
@@ -784,34 +711,6 @@ func runTenants(w io.Writer, addr, token string, timeout time.Duration) error {
 			t.Tenant, t.LiveServices, t.PublishesTotal, t.PublishesThisMinute, t.RateLimitedTotal, t.DeniedTotal)
 	}
 	return nil
-}
-
-func send(server string, timeout time.Duration, req request) (*response, error) {
-	conn, err := net.Dial("udp", server)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	data, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return nil, err
-	}
-	if _, err := conn.Write(data); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 64*1024)
-	n, err := conn.Read(buf)
-	if err != nil {
-		return nil, fmt.Errorf("waiting for reply: %w", err)
-	}
-	var resp response
-	if err := json.Unmarshal(buf[:n], &resp); err != nil {
-		return nil, fmt.Errorf("malformed reply: %w", err)
-	}
-	return &resp, nil
 }
 
 func usage() {

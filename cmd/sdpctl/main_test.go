@@ -6,11 +6,16 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sariadne/internal/discovery"
+	"sariadne/internal/sdpproto"
+	"sariadne/internal/telemetry"
+	"sariadne/internal/transport"
 )
 
 func TestRenderQueryComplete(t *testing.T) {
 	var b strings.Builder
-	renderQuery(&b, &response{OK: true, Hits: []hit{
+	renderQuery(&b, &sdpproto.Response{OK: true, Hits: []discovery.Hit{
 		{Service: "MediaWorkstation", Capability: "PlayMovie", Provider: "ws-1", Distance: 3},
 	}})
 	out := b.String()
@@ -24,11 +29,11 @@ func TestRenderQueryComplete(t *testing.T) {
 
 func TestRenderQueryPartialWithHits(t *testing.T) {
 	var b strings.Builder
-	renderQuery(&b, &response{
+	renderQuery(&b, &sdpproto.Response{
 		OK:          true,
-		Hits:        []hit{{Service: "MediaWorkstation", Capability: "PlayMovie", Provider: "ws-1", Distance: 3}},
+		Hits:        []discovery.Hit{{Service: "MediaWorkstation", Capability: "PlayMovie", Provider: "ws-1", Distance: 3}},
 		Partial:     true,
-		Unreachable: []string{"n4", "n9"},
+		Unreachable: []transport.Addr{"n4", "n9"},
 	})
 	out := b.String()
 	if !strings.Contains(out, "partial result: n4, n9 unreachable") {
@@ -41,7 +46,7 @@ func TestRenderQueryPartialWithHits(t *testing.T) {
 
 func TestRenderQueryPartialEmpty(t *testing.T) {
 	var b strings.Builder
-	renderQuery(&b, &response{OK: true, Partial: true, Unreachable: []string{"n2"}})
+	renderQuery(&b, &sdpproto.Response{OK: true, Partial: true, Unreachable: []transport.Addr{"n2"}})
 	out := b.String()
 	if !strings.Contains(out, "no matching service") || !strings.Contains(out, "n2 unreachable") {
 		t.Fatalf("empty partial result must say both 'nothing found' and 'coverage was incomplete':\n%s", out)
@@ -50,7 +55,7 @@ func TestRenderQueryPartialEmpty(t *testing.T) {
 
 func TestRenderQueryEmptyComplete(t *testing.T) {
 	var b strings.Builder
-	renderQuery(&b, &response{OK: true})
+	renderQuery(&b, &sdpproto.Response{OK: true})
 	if got := b.String(); got != "no matching service\n" {
 		t.Fatalf("output = %q", got)
 	}
@@ -58,9 +63,9 @@ func TestRenderQueryEmptyComplete(t *testing.T) {
 
 func TestRenderPeers(t *testing.T) {
 	var b strings.Builder
-	renderPeers(&b, &response{OK: true, Peers: []peer{
-		{Addr: "127.0.0.1:8475", LastAnnounce: time.Now().Add(-time.Second), HasSummary: true, Entries: 2, Failures: 1},
-		{Addr: "127.0.0.1:8476"},
+	renderPeers(&b, &sdpproto.Response{OK: true, Peers: []sdpproto.PeerEntry{
+		{PeerInfo: discovery.PeerInfo{Addr: "127.0.0.1:8475", LastAnnounce: time.Now().Add(-time.Second), HasSummary: true, Entries: 2, Failures: 1}},
+		{PeerInfo: discovery.PeerInfo{Addr: "127.0.0.1:8476"}},
 	}})
 	out := b.String()
 	if !strings.Contains(out, "127.0.0.1:8475") || !strings.Contains(out, "127.0.0.1:8476") {
@@ -73,7 +78,7 @@ func TestRenderPeers(t *testing.T) {
 
 func TestRenderPeersEmpty(t *testing.T) {
 	var b strings.Builder
-	renderPeers(&b, &response{OK: true})
+	renderPeers(&b, &sdpproto.Response{OK: true})
 	if !strings.Contains(b.String(), "no backbone peers") {
 		t.Fatalf("output = %q", b.String())
 	}
@@ -83,7 +88,7 @@ func TestRenderPeersEmpty(t *testing.T) {
 // spans render in Seq order, and give-up reasons survive to the output.
 func TestRenderTraceHopTree(t *testing.T) {
 	var b strings.Builder
-	renderTrace(&b, &response{OK: true, TraceID: 0xabc100000001, Spans: []span{
+	renderTrace(&b, &sdpproto.Response{OK: true, TraceID: 0xabc100000001, Spans: []telemetry.Span{
 		// Deliberately shuffled: renderTrace must sort by Seq.
 		{Node: "n2", Event: "received", Peer: "n1", Seq: 4},
 		{Node: "n1", Event: "received", Seq: 1},
@@ -118,7 +123,7 @@ func TestRenderTraceHopTree(t *testing.T) {
 // from encounter order.
 func TestRenderTraceInterleavedSeq(t *testing.T) {
 	var b strings.Builder
-	renderTrace(&b, &response{OK: true, TraceID: 0x5100000001, Spans: []span{
+	renderTrace(&b, &sdpproto.Response{OK: true, TraceID: 0x5100000001, Spans: []telemetry.Span{
 		{Node: "origin", Event: "received", Seq: 10},
 		{Node: "remote", Event: "received", Peer: "origin", Seq: 2}, // remote's own counter is younger
 		{Node: "origin", Event: "forward", Peer: "remote", Seq: 11},
@@ -135,7 +140,7 @@ func TestRenderTraceInterleavedSeq(t *testing.T) {
 
 func TestRenderTraceEmpty(t *testing.T) {
 	var b strings.Builder
-	renderTrace(&b, &response{OK: true})
+	renderTrace(&b, &sdpproto.Response{OK: true})
 	if !strings.Contains(b.String(), "no trace returned") {
 		t.Fatalf("output = %q", b.String())
 	}

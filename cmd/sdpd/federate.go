@@ -8,6 +8,7 @@ import (
 
 	"sariadne/internal/discovery"
 	"sariadne/internal/election"
+	"sariadne/internal/sdpproto"
 	"sariadne/internal/transport"
 )
 
@@ -130,7 +131,7 @@ func (f *federation) refresh() {
 // peers snapshots the backbone view, joining the protocol layer's per
 // peer state with the transport layer's socket stats for the same
 // address.
-func (f *federation) peers() []peerEntry {
+func (f *federation) peers() []sdpproto.PeerEntry {
 	infos := f.node.PeerInfos()
 	byAddr := make(map[transport.Addr]transport.Peer)
 	if pl, ok := f.tr.(transport.PeerLister); ok {
@@ -138,9 +139,9 @@ func (f *federation) peers() []peerEntry {
 			byAddr[p.Addr] = p
 		}
 	}
-	out := make([]peerEntry, 0, len(infos))
+	out := make([]sdpproto.PeerEntry, 0, len(infos))
 	for _, pi := range infos {
-		e := peerEntry{PeerInfo: pi}
+		e := sdpproto.PeerEntry{PeerInfo: pi}
 		if tp, ok := byAddr[pi.Addr]; ok {
 			e.Transport = &tp
 		}

@@ -7,6 +7,7 @@ import (
 
 	"sariadne/internal/ontology"
 	"sariadne/internal/profile"
+	"sariadne/internal/sdpproto"
 	"sariadne/internal/testutil"
 )
 
@@ -41,13 +42,13 @@ func TestFederatedDaemons(t *testing.T) {
 				return len(fa.node.Peers()) == 1
 			}, "backbone handshake")
 
-			if resp := sa.handle(mustJSON(t, request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())})); !resp.OK {
+			if resp := sa.handle(mustJSON(t, sdpproto.Request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())})); !resp.OK {
 				t.Fatalf("register on A: %s", resp.Error)
 			}
 			// B's view of A reflects the registration once the refreshed
 			// summary lands.
 			testutil.WaitFor(t, 5*time.Second, func() bool {
-				resp := sb.handle(mustJSON(t, request{Op: "peers"}))
+				resp := sb.handle(mustJSON(t, sdpproto.Request{Op: "peers"}))
 				if !resp.OK || len(resp.Peers) != 1 {
 					return false
 				}
@@ -55,7 +56,7 @@ func TestFederatedDaemons(t *testing.T) {
 				return p.Addr == fa.node.ID() && p.HasSummary && p.Entries == 2 && !p.LastAnnounce.IsZero()
 			}, "A's summary never reached B")
 
-			resp := sb.handle(mustJSON(t, request{Op: "query", Doc: mustDoc(t, profile.PDAService())}))
+			resp := sb.handle(mustJSON(t, sdpproto.Request{Op: "query", Doc: mustDoc(t, profile.PDAService())}))
 			if !resp.OK || len(resp.Hits) != 1 {
 				t.Fatalf("federated query: %+v", resp)
 			}
@@ -67,7 +68,7 @@ func TestFederatedDaemons(t *testing.T) {
 			}
 
 			// The transport join shows socket-level traffic for the peer.
-			resp = sa.handle(mustJSON(t, request{Op: "peers"}))
+			resp = sa.handle(mustJSON(t, sdpproto.Request{Op: "peers"}))
 			if !resp.OK || len(resp.Peers) != 1 || resp.Peers[0].Transport == nil {
 				t.Fatalf("peers on A: %+v", resp)
 			}
@@ -82,8 +83,8 @@ func TestFederatedDaemons(t *testing.T) {
 // fails loudly instead of returning a misleading empty backbone.
 func TestPeersOpRequiresFederation(t *testing.T) {
 	s := newTestServer(t)
-	resp := s.handle(mustJSON(t, request{Op: "peers"}))
-	if resp.OK || resp.Code != codeBadRequest {
+	resp := s.handle(mustJSON(t, sdpproto.Request{Op: "peers"}))
+	if resp.OK || resp.Code != sdpproto.CodeBadRequest {
 		t.Fatalf("peers on standalone daemon: %+v", resp)
 	}
 }
@@ -99,11 +100,11 @@ func TestAddOntologyDuringForwardedQueries(t *testing.T) {
 	testutil.WaitFor(t, 5*time.Second, func() bool {
 		return len(fa.node.Peers()) == 1
 	}, "backbone handshake")
-	if resp := sa.handle(mustJSON(t, request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())})); !resp.OK {
+	if resp := sa.handle(mustJSON(t, sdpproto.Request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())})); !resp.OK {
 		t.Fatalf("register on A: %s", resp.Error)
 	}
 	testutil.WaitFor(t, 5*time.Second, func() bool {
-		resp := sb.handle(mustJSON(t, request{Op: "peers"}))
+		resp := sb.handle(mustJSON(t, sdpproto.Request{Op: "peers"}))
 		return resp.OK && len(resp.Peers) == 1 && resp.Peers[0].Entries == 2
 	}, "A's summary never reached B")
 
@@ -111,8 +112,8 @@ func TestAddOntologyDuringForwardedQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addOntology := mustJSON(t, request{Op: "add-ontology", Doc: string(media)})
-	query := mustJSON(t, request{Op: "query", Doc: mustDoc(t, profile.PDAService())})
+	addOntology := mustJSON(t, sdpproto.Request{Op: "add-ontology", Doc: string(media)})
+	query := mustJSON(t, sdpproto.Request{Op: "query", Doc: mustDoc(t, profile.PDAService())})
 	const rounds = 50
 	done := make(chan struct{})
 	go func() {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sariadne/internal/profile"
+	"sariadne/internal/sdpproto"
 	"sariadne/internal/telemetry"
 	"sariadne/internal/testutil"
 )
@@ -17,10 +18,10 @@ import (
 // even on a standalone (unfederated) daemon.
 func TestTracedQueryOp(t *testing.T) {
 	s := newTestServer(t)
-	if resp := s.handle(mustJSON(t, request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())})); !resp.OK {
+	if resp := s.handle(mustJSON(t, sdpproto.Request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())})); !resp.OK {
 		t.Fatalf("register: %s", resp.Error)
 	}
-	resp := s.handle(mustJSON(t, request{Op: "query", Doc: mustDoc(t, profile.PDAService()), Trace: true}))
+	resp := s.handle(mustJSON(t, sdpproto.Request{Op: "query", Doc: mustDoc(t, profile.PDAService()), Trace: true}))
 	if !resp.OK || len(resp.Hits) != 1 {
 		t.Fatalf("traced query: %+v", resp)
 	}
@@ -39,7 +40,7 @@ func TestTracedQueryOp(t *testing.T) {
 
 	// Untraced queries carry neither spans nor a trace ID (the default
 	// sampler period is far beyond this test's query count).
-	resp = s.handle(mustJSON(t, request{Op: "query", Doc: mustDoc(t, profile.PDAService())}))
+	resp = s.handle(mustJSON(t, sdpproto.Request{Op: "query", Doc: mustDoc(t, profile.PDAService())}))
 	if !resp.OK || resp.TraceID != 0 || len(resp.Spans) != 0 {
 		t.Fatalf("plain query leaked trace data: %+v", resp)
 	}
@@ -59,7 +60,7 @@ func TestHTTPTraceEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /query?trace=1 = %d: %s", resp.StatusCode, body)
 	}
-	var qr response
+	var qr sdpproto.Response
 	if err := json.Unmarshal([]byte(body), &qr); err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"sariadne/internal/sdpproto"
 	"sariadne/internal/telemetry"
 	"sariadne/internal/tenant"
 )
@@ -46,7 +47,7 @@ import (
 //	GET  /debug/vars                                 -> 200 expvar-style JSON snapshot
 //	GET  /debug/pprof/*     (only with -pprof)       -> net/http/pprof
 //
-// The handler funnels every mutation through the same server.handle path
+// The handler funnels every mutation through the same server.process path
 // as the UDP front end, so journaling and validation behave identically.
 type httpGateway struct {
 	srv *server
@@ -91,9 +92,9 @@ func newHTTPGateway(srv *server, withPprof bool) http.Handler {
 // httpStatus maps a response error code to an HTTP status.
 func httpStatus(code string) int {
 	switch code {
-	case codeNotFound:
+	case sdpproto.CodeNotFound:
 		return http.StatusNotFound
-	case codeInternal:
+	case sdpproto.CodeInternal:
 		return http.StatusInternalServerError
 	case tenant.CodeUnauthenticated:
 		return http.StatusUnauthorized
@@ -130,13 +131,8 @@ func (g *httpGateway) authorize(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // dispatch runs a request through the shared handler and writes the reply.
-func (g *httpGateway) dispatch(w http.ResponseWriter, req request, okStatus int) {
-	data, err := json.Marshal(req)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	resp := g.srv.handle(data)
+func (g *httpGateway) dispatch(w http.ResponseWriter, req sdpproto.Request, okStatus int) {
+	resp := observed(time.Now(), g.srv.process(req))
 	if !resp.OK {
 		http.Error(w, resp.Error, httpStatus(resp.Code))
 		return
@@ -166,7 +162,7 @@ func (g *httpGateway) postServices(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	g.dispatch(w, request{Op: "register", Doc: doc, Token: bearerToken(r)}, http.StatusCreated)
+	g.dispatch(w, sdpproto.Request{Op: "register", Doc: doc, Token: bearerToken(r)}, http.StatusCreated)
 }
 
 // getServices pages through the live advertisements: GET
@@ -216,7 +212,7 @@ func (g *httpGateway) deleteService(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing service name", http.StatusBadRequest)
 		return
 	}
-	g.dispatch(w, request{Op: "deregister", Name: name, Token: bearerToken(r)}, http.StatusOK)
+	g.dispatch(w, sdpproto.Request{Op: "deregister", Name: name, Token: bearerToken(r)}, http.StatusOK)
 }
 
 func (g *httpGateway) postQuery(w http.ResponseWriter, r *http.Request) {
@@ -227,7 +223,7 @@ func (g *httpGateway) postQuery(w http.ResponseWriter, r *http.Request) {
 	// The body is the raw XML document, so the trace switch rides the
 	// query string: POST /query?trace=1.
 	traced := r.URL.Query().Get("trace") == "1"
-	g.dispatch(w, request{Op: "query", Doc: doc, Trace: traced, Token: bearerToken(r)}, http.StatusOK)
+	g.dispatch(w, sdpproto.Request{Op: "query", Doc: doc, Trace: traced, Token: bearerToken(r)}, http.StatusOK)
 }
 
 func (g *httpGateway) postOntologies(w http.ResponseWriter, r *http.Request) {
@@ -235,7 +231,7 @@ func (g *httpGateway) postOntologies(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	g.dispatch(w, request{Op: "add-ontology", Doc: doc, Token: bearerToken(r)}, http.StatusCreated)
+	g.dispatch(w, sdpproto.Request{Op: "add-ontology", Doc: doc, Token: bearerToken(r)}, http.StatusCreated)
 }
 
 // getTable takes the ontology URI as a query parameter (URIs contain
@@ -246,22 +242,22 @@ func (g *httpGateway) getTable(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing uri query parameter", http.StatusBadRequest)
 		return
 	}
-	g.dispatch(w, request{Op: "get-table", Name: uri, Token: bearerToken(r)}, http.StatusOK)
+	g.dispatch(w, sdpproto.Request{Op: "get-table", Name: uri, Token: bearerToken(r)}, http.StatusOK)
 }
 
 func (g *httpGateway) getStats(w http.ResponseWriter, r *http.Request) {
-	g.dispatch(w, request{Op: "stats", Token: bearerToken(r)}, http.StatusOK)
+	g.dispatch(w, sdpproto.Request{Op: "stats", Token: bearerToken(r)}, http.StatusOK)
 }
 
 // getPeers serves the live backbone view of a federated daemon.
 func (g *httpGateway) getPeers(w http.ResponseWriter, r *http.Request) {
-	g.dispatch(w, request{Op: "peers", Token: bearerToken(r)}, http.StatusOK)
+	g.dispatch(w, sdpproto.Request{Op: "peers", Token: bearerToken(r)}, http.StatusOK)
 }
 
 // getTenants serves the admission table: enforcement mode, configured
 // limits, per-tenant usage. Admin role required on an enforcing daemon.
 func (g *httpGateway) getTenants(w http.ResponseWriter, r *http.Request) {
-	g.dispatch(w, request{Op: "tenants", Token: bearerToken(r)}, http.StatusOK)
+	g.dispatch(w, sdpproto.Request{Op: "tenants", Token: bearerToken(r)}, http.StatusOK)
 }
 
 // writeJSON encodes v with the canonical content type.

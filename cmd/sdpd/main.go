@@ -18,27 +18,8 @@
 //	sdpd -listen :7474 -federate :8474
 //	sdpd -listen :7475 -federate :8475 -peer 127.0.0.1:8474
 //
-// Protocol (one JSON object per datagram):
-//
-//	{"op":"register", "doc":"<service .../>"}
-//	{"op":"deregister", "name":"MediaWorkstation"}
-//	{"op":"query", "doc":"<service ...><required .../></service>"}
-//	{"op":"add-ontology", "doc":"<ontology .../>"}
-//	{"op":"get-table", "name":"<ontology uri>"}
-//	{"op":"stats"}
-//	{"op":"peers"}
-//	{"op":"tenants"}
-//
-// With admission enabled (-auth-tokens and/or -auth-secret) every request
-// additionally carries {"token":"..."}; denials come back with code
-// "unauthenticated", "forbidden" or "rate_limited".
-//
-// Every reply is {"ok":bool, "error":string, "code":string, "hits":[...],
-// "stats":{...}}; failed requests carry a machine-readable code alongside
-// the human-readable error text. Query replies additionally carry a
-// completeness marker: {"partial":true, "unreachable":["n4"]} means the
-// answer is usable but some backbone directories never responded, so a
-// better answer may exist (the paper's graceful-degradation contract).
+// Clients speak one JSON request per datagram and get one JSON reply
+// back; internal/sdpproto defines the ops, fields and error codes.
 package main
 
 import (
@@ -58,93 +39,19 @@ import (
 	"sariadne/internal/codes"
 	"sariadne/internal/discovery"
 	"sariadne/internal/ontology"
+	"sariadne/internal/sdpproto"
 	"sariadne/internal/store"
 	"sariadne/internal/telemetry"
 	"sariadne/internal/tenant"
-	"sariadne/internal/transport"
-)
-
-// request is the wire format of client commands.
-type request struct {
-	Op   string `json:"op"`
-	Doc  string `json:"doc,omitempty"`
-	Name string `json:"name,omitempty"`
-	// Token is the caller's bearer credential, consulted when the daemon
-	// runs with admission enabled (-auth-tokens / -auth-secret). The HTTP
-	// gateway fills it from the Authorization header.
-	Token string `json:"token,omitempty"`
-	// Trace asks for a hop-level trace of a query op: the reply carries
-	// the span tree inline and the trace is retained in the flight
-	// recorder for later retrieval via GET /traces/{id}.
-	Trace bool `json:"trace,omitempty"`
-}
-
-// Machine-readable error codes carried in failed responses. The HTTP
-// gateway maps them to status codes; UDP clients can branch on them
-// without parsing English. Admission refusals reuse the tenant package's
-// codes (tenant.CodeUnauthenticated / CodeForbidden / CodeRateLimited),
-// which the gateway maps to 401 / 403 / 429.
-const (
-	codeBadRequest = "bad_request" // malformed or semantically invalid input
-	codeNotFound   = "not_found"   // named service/ontology does not exist
-	codeInternal   = "internal"    // server-side failure (journal, encoding)
 )
 
 // denialResponse renders an admission refusal (or an authenticator's
 // internal fault) as a wire response.
-func denialResponse(err error) response {
+func denialResponse(err error) sdpproto.Response {
 	if d, ok := tenant.Denied(err); ok {
-		return response{Error: d.Reason, Code: d.Code}
+		return sdpproto.Response{Error: d.Reason, Code: d.Code}
 	}
-	return response{Error: err.Error(), Code: codeInternal}
-}
-
-// response is the wire format of server replies. Partial and Unreachable
-// mirror discovery.Result: when the resolver could not reach every
-// backbone directory the hits are still served, flagged as a lower bound.
-type response struct {
-	OK    bool   `json:"ok"`
-	Error string `json:"error,omitempty"`
-	Code  string `json:"code,omitempty"`
-	// Version is the advertisement version the directory assigned to a
-	// successful register: re-publishing a name supersedes the previous
-	// version, which stays listable via GET /services/{name}.
-	Version     uint64           `json:"version,omitempty"`
-	Hits        []discovery.Hit  `json:"hits,omitempty"`
-	Partial     bool             `json:"partial,omitempty"`
-	Unreachable []transport.Addr `json:"unreachable,omitempty"`
-	// TraceID names the query's retained trace (explicitly requested or
-	// picked up by the sampler); fetch it later from GET /traces/{id}.
-	TraceID uint64 `json:"trace_id,omitempty"`
-	// Spans is the hop-level trace, inline — only when the request asked
-	// for tracing (sampled queries just carry the ID).
-	Spans   []telemetry.Span `json:"spans,omitempty"`
-	Peers   []peerEntry      `json:"peers,omitempty"`
-	Stats   *statsBody       `json:"stats,omitempty"`
-	Table   json.RawMessage  `json:"table,omitempty"`
-	Tenants *tenantsBody     `json:"tenants,omitempty"`
-}
-
-// tenantsBody is the admission table behind GET /tenants and the
-// "tenants" op: enforcement mode, configured limits, one row per tenant.
-type tenantsBody struct {
-	Enforcing bool            `json:"enforcing"`
-	Auth      string          `json:"auth"`
-	Limits    tenant.Limits   `json:"limits"`
-	Tenants   []tenant.Status `json:"tenants"`
-}
-
-// peerEntry is one backbone peer in a "peers" reply: the discovery
-// layer's protocol view (summary freshness, give-up count) joined with
-// the transport layer's socket stats when the substrate tracks them.
-type peerEntry struct {
-	discovery.PeerInfo
-	Transport *transport.Peer `json:"transport,omitempty"`
-}
-
-type statsBody struct {
-	Capabilities int      `json:"capabilities"`
-	Ontologies   []string `json:"ontologies"`
+	return sdpproto.Response{Error: err.Error(), Code: sdpproto.CodeInternal}
 }
 
 // stringList collects repeated string flags (-ontology, -peer).
@@ -617,8 +524,15 @@ func (s *server) serve(conn *net.UDPConn) {
 			udpLog.Error("read", "err", err)
 			return
 		}
-		resp := s.handle(buf[:n])
-		data, err := json.Marshal(resp)
+		data, err := json.Marshal(s.handle(buf[:n]))
+		if err == nil && len(data) > sdpproto.MaxDatagram {
+			// The kernel would refuse the datagram and leave the client
+			// waiting out its timeout; a typed error tells it why.
+			requestErrorsTotal.Inc()
+			data, err = json.Marshal(sdpproto.Response{Code: sdpproto.CodeReplyTooLarge, Error: fmt.Sprintf(
+				"reply of %d bytes exceeds the %d-byte datagram limit; use the HTTP gateway",
+				len(data), sdpproto.MaxDatagram)})
+		}
 		if err != nil {
 			udpLog.Error("marshal reply", "err", err)
 			continue
@@ -629,10 +543,20 @@ func (s *server) serve(conn *net.UDPConn) {
 	}
 }
 
-// handle times and counts one request, then runs it through process.
-func (s *server) handle(datagram []byte) response {
+// handle decodes one datagram and runs it through process, timing and
+// counting it like a gateway request.
+func (s *server) handle(datagram []byte) sdpproto.Response {
 	start := time.Now()
-	resp := s.process(datagram)
+	var req sdpproto.Request
+	if err := json.Unmarshal(datagram, &req); err != nil {
+		return observed(start, sdpproto.Response{Error: "malformed request: " + err.Error(), Code: sdpproto.CodeBadRequest})
+	}
+	return observed(start, s.process(req))
+}
+
+// observed records one handled request, a datagram or a gateway call, in
+// the front-end instruments.
+func observed(start time.Time, resp sdpproto.Response) sdpproto.Response {
 	requestsTotal.Inc()
 	if !resp.OK {
 		requestErrorsTotal.Inc()
@@ -641,13 +565,9 @@ func (s *server) handle(datagram []byte) response {
 	return resp
 }
 
-func (s *server) process(datagram []byte) response {
+func (s *server) process(req sdpproto.Request) sdpproto.Response {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var req request
-	if err := json.Unmarshal(datagram, &req); err != nil {
-		return response{Error: "malformed request: " + err.Error(), Code: codeBadRequest}
-	}
 	// Every op authenticates first. An open-mode daemon gets the wildcard
 	// identity back at zero cost; an enforcing daemon turns a missing or
 	// bad token into a 401 here, before any work happens.
@@ -663,7 +583,7 @@ func (s *server) process(datagram []byte) response {
 		// cannot leak it.
 		name, err := s.backend.ServiceName([]byte(req.Doc))
 		if err != nil {
-			return response{Error: err.Error(), Code: codeBadRequest}
+			return sdpproto.Response{Error: err.Error(), Code: sdpproto.CodeBadRequest}
 		}
 		prior := s.adverts[name]
 		newService := prior == nil || !prior.Live
@@ -671,7 +591,7 @@ func (s *server) process(datagram []byte) response {
 			return denialResponse(err)
 		}
 		if _, err := s.backend.Register([]byte(req.Doc)); err != nil {
-			return response{Error: err.Error(), Code: codeBadRequest}
+			return sdpproto.Response{Error: err.Error(), Code: sdpproto.CodeBadRequest}
 		}
 		// The directory assigns the advertisement version: re-publishing a
 		// name supersedes the old version, which stays listable in the
@@ -680,40 +600,40 @@ func (s *server) process(datagram []byte) response {
 		version := s.recordAdvertLocked(name, req.Doc, 0)
 		owner := advertOwner(name, "")
 		if err := s.persistLocked(store.Record{Op: store.OpRegister, Doc: req.Doc, Name: name, Version: version, Tenant: owner}); err != nil {
-			return response{Error: err.Error(), Code: codeInternal}
+			return sdpproto.Response{Error: err.Error(), Code: sdpproto.CodeInternal}
 		}
 		if newService {
 			s.gate.ServiceLive(owner, +1)
 		}
 		s.refreshLocked()
 		s.log.Info("registered service", "name", name, "version", version, "capabilities", s.backend.Len())
-		return response{OK: true, Version: version}
+		return sdpproto.Response{OK: true, Version: version}
 	case "deregister":
 		if err := s.gate.AdmitDeregister(id, req.Name); err != nil {
 			return denialResponse(err)
 		}
 		if !s.backend.Deregister(req.Name) {
-			return response{Error: fmt.Sprintf("service %q not registered", req.Name), Code: codeNotFound}
+			return sdpproto.Response{Error: fmt.Sprintf("service %q not registered", req.Name), Code: sdpproto.CodeNotFound}
 		}
 		s.dropAdvertLocked(req.Name)
 		owner := advertOwner(req.Name, "")
 		if err := s.persistLocked(store.Record{Op: store.OpDeregister, Name: req.Name, Tenant: owner}); err != nil {
-			return response{Error: err.Error(), Code: codeInternal}
+			return sdpproto.Response{Error: err.Error(), Code: sdpproto.CodeInternal}
 		}
 		s.gate.ServiceLive(owner, -1)
 		s.refreshLocked()
-		return response{OK: true}
+		return sdpproto.Response{OK: true}
 	case "query":
 		res, err := s.resolve([]byte(req.Doc), req.Trace)
 		if err != nil {
-			return response{Error: err.Error(), Code: codeBadRequest}
+			return sdpproto.Response{Error: err.Error(), Code: sdpproto.CodeBadRequest}
 		}
 		if res.Partial() {
 			partialRepliesTotal.Inc()
 			s.log.Warn("serving partial query result",
 				"hits", len(res.Hits), "unreachable", len(res.Unreachable))
 		}
-		resp := response{OK: true, Hits: res.Hits, Partial: res.Partial(),
+		resp := sdpproto.Response{OK: true, Hits: res.Hits, Partial: res.Partial(),
 			Unreachable: res.Unreachable, TraceID: res.Trace}
 		if req.Trace {
 			resp.Spans = res.Spans
@@ -724,46 +644,46 @@ func (s *server) process(datagram []byte) response {
 			return denialResponse(err)
 		}
 		if err := s.addOntologyTextLocked(req.Doc); err != nil {
-			return response{Error: err.Error(), Code: codeBadRequest}
+			return sdpproto.Response{Error: err.Error(), Code: sdpproto.CodeBadRequest}
 		}
 		if err := s.persistLocked(store.Record{Op: store.OpAddOntology, Doc: req.Doc}); err != nil {
-			return response{Error: err.Error(), Code: codeInternal}
+			return sdpproto.Response{Error: err.Error(), Code: sdpproto.CodeInternal}
 		}
-		return response{OK: true}
+		return sdpproto.Response{OK: true}
 	case "get-table":
 		// Thin clients fetch encoded code tables instead of running a
 		// reasoner themselves (Section 3.2's code distribution).
 		table, ok := s.reg.Resolve(req.Name)
 		if !ok {
-			return response{Error: fmt.Sprintf("no table for ontology %q", req.Name), Code: codeNotFound}
+			return sdpproto.Response{Error: fmt.Sprintf("no table for ontology %q", req.Name), Code: sdpproto.CodeNotFound}
 		}
 		data, err := codes.MarshalTable(table)
 		if err != nil {
-			return response{Error: err.Error(), Code: codeInternal}
+			return sdpproto.Response{Error: err.Error(), Code: sdpproto.CodeInternal}
 		}
-		return response{OK: true, Table: data}
+		return sdpproto.Response{OK: true, Table: data}
 	case "stats":
-		return response{OK: true, Stats: &statsBody{
+		return sdpproto.Response{OK: true, Stats: &sdpproto.StatsBody{
 			Capabilities: s.backend.Len(),
 			Ontologies:   s.reg.URIs(),
 		}}
 	case "peers":
 		if s.fed == nil {
-			return response{Error: "daemon is not federated (run with -federate)", Code: codeBadRequest}
+			return sdpproto.Response{Error: "daemon is not federated (run with -federate)", Code: sdpproto.CodeBadRequest}
 		}
-		return response{OK: true, Peers: s.fed.peers()}
+		return sdpproto.Response{OK: true, Peers: s.fed.peers()}
 	case "tenants":
 		if err := s.gate.AdmitAdmin(id); err != nil {
 			return denialResponse(err)
 		}
-		return response{OK: true, Tenants: &tenantsBody{
+		return sdpproto.Response{OK: true, Tenants: &sdpproto.TenantsBody{
 			Enforcing: s.gate.Enforcing(),
 			Auth:      s.gate.AuthName(),
 			Limits:    s.gate.Limits(),
 			Tenants:   s.gate.Tenants(),
 		}}
 	default:
-		return response{Error: fmt.Sprintf("unknown op %q", req.Op), Code: codeBadRequest}
+		return sdpproto.Response{Error: fmt.Sprintf("unknown op %q", req.Op), Code: sdpproto.CodeBadRequest}
 	}
 }
 

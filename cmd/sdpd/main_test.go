@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"sariadne/internal/discovery"
 	"sariadne/internal/ontology"
 	"sariadne/internal/profile"
+	"sariadne/internal/sdpproto"
 )
 
 func newTestServer(t *testing.T) *server {
@@ -24,7 +26,7 @@ func newTestServer(t *testing.T) *server {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp := s.handle(mustJSON(t, request{Op: "add-ontology", Doc: string(data)}))
+		resp := s.handle(mustJSON(t, sdpproto.Request{Op: "add-ontology", Doc: string(data)}))
 		if !resp.OK {
 			t.Fatalf("add-ontology: %s", resp.Error)
 		}
@@ -32,7 +34,7 @@ func newTestServer(t *testing.T) *server {
 	return s
 }
 
-func mustJSON(t *testing.T, req request) []byte {
+func mustJSON(t *testing.T, req sdpproto.Request) []byte {
 	t.Helper()
 	data, err := json.Marshal(req)
 	if err != nil {
@@ -53,30 +55,30 @@ func mustDoc(t *testing.T, svc *profile.Service) string {
 func TestHandleRegisterQueryDeregister(t *testing.T) {
 	s := newTestServer(t)
 
-	resp := s.handle(mustJSON(t, request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())}))
+	resp := s.handle(mustJSON(t, sdpproto.Request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())}))
 	if !resp.OK {
 		t.Fatalf("register: %s", resp.Error)
 	}
 
-	resp = s.handle(mustJSON(t, request{Op: "query", Doc: mustDoc(t, profile.PDAService())}))
+	resp = s.handle(mustJSON(t, sdpproto.Request{Op: "query", Doc: mustDoc(t, profile.PDAService())}))
 	if !resp.OK || len(resp.Hits) != 1 || resp.Hits[0].Distance != 3 {
 		t.Fatalf("query: %+v", resp)
 	}
 
-	resp = s.handle(mustJSON(t, request{Op: "stats"}))
+	resp = s.handle(mustJSON(t, sdpproto.Request{Op: "stats"}))
 	if !resp.OK || resp.Stats.Capabilities != 2 || len(resp.Stats.Ontologies) != 2 {
 		t.Fatalf("stats: %+v", resp)
 	}
 
-	resp = s.handle(mustJSON(t, request{Op: "deregister", Name: "MediaWorkstation"}))
+	resp = s.handle(mustJSON(t, sdpproto.Request{Op: "deregister", Name: "MediaWorkstation"}))
 	if !resp.OK {
 		t.Fatalf("deregister: %s", resp.Error)
 	}
-	resp = s.handle(mustJSON(t, request{Op: "deregister", Name: "MediaWorkstation"}))
+	resp = s.handle(mustJSON(t, sdpproto.Request{Op: "deregister", Name: "MediaWorkstation"}))
 	if resp.OK {
 		t.Fatal("double deregister succeeded")
 	}
-	resp = s.handle(mustJSON(t, request{Op: "query", Doc: mustDoc(t, profile.PDAService())}))
+	resp = s.handle(mustJSON(t, sdpproto.Request{Op: "query", Doc: mustDoc(t, profile.PDAService())}))
 	if !resp.OK || len(resp.Hits) != 0 {
 		t.Fatalf("query after deregister: %+v", resp)
 	}
@@ -87,7 +89,7 @@ func TestHandleRegisterQueryDeregister(t *testing.T) {
 // alongside the usable hits instead of hiding the gap.
 func TestHandleQueryPartialMarker(t *testing.T) {
 	s := newTestServer(t)
-	resp := s.handle(mustJSON(t, request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())}))
+	resp := s.handle(mustJSON(t, sdpproto.Request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())}))
 	if !resp.OK {
 		t.Fatalf("register: %s", resp.Error)
 	}
@@ -98,7 +100,7 @@ func TestHandleQueryPartialMarker(t *testing.T) {
 		return res, err
 	}
 
-	resp = s.handle(mustJSON(t, request{Op: "query", Doc: mustDoc(t, profile.PDAService())}))
+	resp = s.handle(mustJSON(t, sdpproto.Request{Op: "query", Doc: mustDoc(t, profile.PDAService())}))
 	if !resp.OK || len(resp.Hits) != 1 {
 		t.Fatalf("query: %+v", resp)
 	}
@@ -120,10 +122,10 @@ func TestHandleErrors(t *testing.T) {
 	s := newTestServer(t)
 	for name, datagram := range map[string][]byte{
 		"malformed json":   []byte("{nope"),
-		"unknown op":       mustJSON(t, request{Op: "fly"}),
-		"bad register doc": mustJSON(t, request{Op: "register", Doc: "junk"}),
-		"bad query doc":    mustJSON(t, request{Op: "query", Doc: "junk"}),
-		"bad ontology":     mustJSON(t, request{Op: "add-ontology", Doc: "junk"}),
+		"unknown op":       mustJSON(t, sdpproto.Request{Op: "fly"}),
+		"bad register doc": mustJSON(t, sdpproto.Request{Op: "register", Doc: "junk"}),
+		"bad query doc":    mustJSON(t, sdpproto.Request{Op: "query", Doc: "junk"}),
+		"bad ontology":     mustJSON(t, sdpproto.Request{Op: "add-ontology", Doc: "junk"}),
 	} {
 		if resp := s.handle(datagram); resp.OK {
 			t.Errorf("%s accepted", name)
@@ -154,7 +156,7 @@ func TestServeOverUDP(t *testing.T) {
 	if err := client.SetDeadline(time.Now().Add(2 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Write(mustJSON(t, request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())})); err != nil {
+	if _, err := client.Write(mustJSON(t, sdpproto.Request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())})); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 64*1024)
@@ -164,6 +166,48 @@ func TestServeOverUDP(t *testing.T) {
 	}
 	if !strings.Contains(string(buf[:n]), `"ok":true`) {
 		t.Fatalf("reply = %s", buf[:n])
+	}
+}
+
+// TestServeOversizedReply: a reply too long for one datagram comes back
+// at once as a typed error that names the size and the HTTP gateway,
+// instead of a send failure that leaves the client waiting out its
+// timeout. The daemon keeps serving afterwards.
+func TestServeOversizedReply(t *testing.T) {
+	s := newTestServer(t)
+	long := strings.Repeat("x", 200)
+	const services = 300
+	for i := 0; i < services; i++ {
+		if resp := s.handle(mustJSON(t, sdpproto.Request{Op: "register", Doc: namedDoc(t, fmt.Sprintf("%s-%03d", long, i))})); !resp.OK {
+			t.Fatalf("register %d: %s", i, resp.Error)
+		}
+	}
+	query := sdpproto.Request{Op: "query", Doc: mustDoc(t, profile.PDAService())}
+	if resp := s.handle(mustJSON(t, query)); !resp.OK || len(resp.Hits) != services {
+		t.Fatalf("direct query: ok=%v hits=%d, want %d", resp.OK, len(resp.Hits), services)
+	}
+
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	go s.serve(conn)
+	c, err := sdpproto.Dial(conn.LocalAddr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	resp, err := c.Do(query)
+	if err != nil {
+		t.Fatalf("oversized reply was not answered: %v", err)
+	}
+	if resp.OK || resp.Code != sdpproto.CodeReplyTooLarge ||
+		!strings.Contains(resp.Error, "exceeds the 65507-byte datagram limit") || !strings.Contains(resp.Error, "HTTP gateway") {
+		t.Fatalf("reply = %+v", resp)
+	}
+	if resp, err := c.Do(sdpproto.Request{Op: "stats"}); err != nil || !resp.OK {
+		t.Fatalf("stats after the oversized reply: %+v, %v", resp, err)
 	}
 }
 
@@ -182,7 +226,7 @@ func TestStringListFlag(t *testing.T) {
 
 func TestHandleGetTable(t *testing.T) {
 	s := newTestServer(t)
-	resp := s.handle(mustJSON(t, request{Op: "get-table", Name: profile.MediaOntologyURI}))
+	resp := s.handle(mustJSON(t, sdpproto.Request{Op: "get-table", Name: profile.MediaOntologyURI}))
 	if !resp.OK || len(resp.Table) == 0 {
 		t.Fatalf("get-table: %+v", resp)
 	}
@@ -193,7 +237,7 @@ func TestHandleGetTable(t *testing.T) {
 	if !table.Subsumes("Resource", "Movie") {
 		t.Fatal("shipped table lost subsumption")
 	}
-	if resp := s.handle(mustJSON(t, request{Op: "get-table", Name: "http://nope"})); resp.OK {
+	if resp := s.handle(mustJSON(t, sdpproto.Request{Op: "get-table", Name: "http://nope"})); resp.OK {
 		t.Fatal("get-table for unknown ontology succeeded")
 	}
 }

@@ -3,9 +3,9 @@ package main
 import "sariadne/internal/telemetry"
 
 // Front-end instruments: one request = one datagram or one gateway call,
-// both funneled through server.handle. Layer-level timers (parse,
-// classify, match, registry insert) live in the internal packages and
-// show up on the same /metrics page.
+// both counted by observed. Layer-level timers (parse, classify, match,
+// registry insert) live in the internal packages and show up on the same
+// /metrics page.
 var (
 	requestsTotal = telemetry.NewCounter("sdpd_requests_total",
 		"requests handled across the UDP and HTTP front ends")

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sariadne/internal/profile"
+	"sariadne/internal/sdpproto"
 	"sariadne/internal/telemetry"
 )
 
@@ -102,12 +103,12 @@ func TestResponseCodes(t *testing.T) {
 		datagram []byte
 		want     string
 	}{
-		{"malformed json", []byte("{nope"), codeBadRequest},
-		{"unknown op", mustJSON(t, request{Op: "fly"}), codeBadRequest},
-		{"bad register doc", mustJSON(t, request{Op: "register", Doc: "junk"}), codeBadRequest},
-		{"bad query doc", mustJSON(t, request{Op: "query", Doc: "junk"}), codeBadRequest},
-		{"missing service", mustJSON(t, request{Op: "deregister", Name: "Nope"}), codeNotFound},
-		{"missing table", mustJSON(t, request{Op: "get-table", Name: "http://nope"}), codeNotFound},
+		{"malformed json", []byte("{nope"), sdpproto.CodeBadRequest},
+		{"unknown op", mustJSON(t, sdpproto.Request{Op: "fly"}), sdpproto.CodeBadRequest},
+		{"bad register doc", mustJSON(t, sdpproto.Request{Op: "register", Doc: "junk"}), sdpproto.CodeBadRequest},
+		{"bad query doc", mustJSON(t, sdpproto.Request{Op: "query", Doc: "junk"}), sdpproto.CodeBadRequest},
+		{"missing service", mustJSON(t, sdpproto.Request{Op: "deregister", Name: "Nope"}), sdpproto.CodeNotFound},
+		{"missing table", mustJSON(t, sdpproto.Request{Op: "get-table", Name: "http://nope"}), sdpproto.CodeNotFound},
 	}
 	for _, c := range cases {
 		resp := s.handle(c.datagram)
@@ -115,7 +116,7 @@ func TestResponseCodes(t *testing.T) {
 			t.Errorf("%s: ok=%v code=%q, want code %q", c.name, resp.OK, resp.Code, c.want)
 		}
 	}
-	if resp := s.handle(mustJSON(t, request{Op: "stats"})); !resp.OK || resp.Code != "" {
+	if resp := s.handle(mustJSON(t, sdpproto.Request{Op: "stats"})); !resp.OK || resp.Code != "" {
 		t.Errorf("stats: ok=%v code=%q, want success without code", resp.OK, resp.Code)
 	}
 }

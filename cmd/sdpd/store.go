@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"sariadne/internal/sdpproto"
 	"sariadne/internal/store"
 	"sariadne/internal/store/boltlike"
 	"sariadne/internal/store/filestore"
@@ -130,12 +131,12 @@ func replayStore(st store.Store, s *server) (applied, skipped int, torn bool, er
 // re-persisting it, rebuilding the advertisement version ledger and the
 // per-tenant live-service counts as it goes — replay is what makes
 // tenant quotas durable across daemon restarts.
-func (s *server) applyLocked(rec store.Record) response {
+func (s *server) applyLocked(rec store.Record) sdpproto.Response {
 	switch rec.Op {
 	case store.OpRegister:
 		name, err := s.backend.Register([]byte(rec.Doc))
 		if err != nil {
-			return response{Error: err.Error()}
+			return sdpproto.Response{Error: err.Error()}
 		}
 		prior := s.adverts[name]
 		fresh := prior == nil || !prior.Live
@@ -143,21 +144,21 @@ func (s *server) applyLocked(rec store.Record) response {
 		if fresh {
 			s.gate.ServiceLive(advertOwner(name, rec.Tenant), +1)
 		}
-		return response{OK: true}
+		return sdpproto.Response{OK: true}
 	case store.OpDeregister:
 		if !s.backend.Deregister(rec.Name) {
-			return response{Error: "not registered"}
+			return sdpproto.Response{Error: "not registered"}
 		}
 		s.dropAdvertLocked(rec.Name)
 		s.gate.ServiceLive(advertOwner(rec.Name, rec.Tenant), -1)
-		return response{OK: true}
+		return sdpproto.Response{OK: true}
 	case store.OpAddOntology:
 		if err := s.addOntologyTextLocked(rec.Doc); err != nil {
-			return response{Error: err.Error()}
+			return sdpproto.Response{Error: err.Error()}
 		}
-		return response{OK: true}
+		return sdpproto.Response{OK: true}
 	default:
-		return response{Error: "unknown store op " + string(rec.Op)}
+		return sdpproto.Response{Error: "unknown store op " + string(rec.Op)}
 	}
 }
 

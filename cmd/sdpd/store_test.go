@@ -13,6 +13,7 @@ import (
 
 	"sariadne/internal/ontology"
 	"sariadne/internal/profile"
+	"sariadne/internal/sdpproto"
 	"sariadne/internal/store"
 	"sariadne/internal/testutil"
 )
@@ -49,21 +50,21 @@ func TestStorePersistAndReplay(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if resp := s1.handle(mustJSON(t, request{Op: "add-ontology", Doc: string(data)})); !resp.OK {
+				if resp := s1.handle(mustJSON(t, sdpproto.Request{Op: "add-ontology", Doc: string(data)})); !resp.OK {
 					t.Fatalf("add-ontology: %s", resp.Error)
 				}
 			}
-			if resp := s1.handle(mustJSON(t, request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())})); !resp.OK {
+			if resp := s1.handle(mustJSON(t, sdpproto.Request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())})); !resp.OK {
 				t.Fatalf("register: %s", resp.Error)
 			}
 			// Register and withdraw a second service: replay must converge to
 			// the post-deregistration state.
 			other := profile.WorkstationService()
 			other.Name = "Transient"
-			if resp := s1.handle(mustJSON(t, request{Op: "register", Doc: mustDoc(t, other)})); !resp.OK {
+			if resp := s1.handle(mustJSON(t, sdpproto.Request{Op: "register", Doc: mustDoc(t, other)})); !resp.OK {
 				t.Fatalf("register transient: %s", resp.Error)
 			}
-			if resp := s1.handle(mustJSON(t, request{Op: "deregister", Name: "Transient"})); !resp.OK {
+			if resp := s1.handle(mustJSON(t, sdpproto.Request{Op: "deregister", Name: "Transient"})); !resp.OK {
 				t.Fatalf("deregister: %s", resp.Error)
 			}
 			if err := st.Close(); err != nil {
@@ -92,7 +93,7 @@ func TestStorePersistAndReplay(t *testing.T) {
 			if applied != 5 { // 2 ontologies + 2 registers + 1 deregister
 				t.Fatalf("applied = %d, want 5", applied)
 			}
-			resp := s2.handle(mustJSON(t, request{Op: "query", Doc: mustDoc(t, profile.PDAService())}))
+			resp := s2.handle(mustJSON(t, sdpproto.Request{Op: "query", Doc: mustDoc(t, profile.PDAService())}))
 			if !resp.OK || len(resp.Hits) != 1 || resp.Hits[0].Service != "MediaWorkstation" {
 				t.Fatalf("query after recovery: %+v", resp)
 			}
@@ -162,11 +163,11 @@ func TestStoreReplayMissingFile(t *testing.T) {
 func TestAdvertisementVersioning(t *testing.T) {
 	s := newTestServer(t)
 	doc := mustDoc(t, profile.WorkstationService())
-	resp := s.handle(mustJSON(t, request{Op: "register", Doc: doc}))
+	resp := s.handle(mustJSON(t, sdpproto.Request{Op: "register", Doc: doc}))
 	if !resp.OK || resp.Version != 1 {
 		t.Fatalf("first register: %+v", resp)
 	}
-	resp = s.handle(mustJSON(t, request{Op: "register", Doc: doc}))
+	resp = s.handle(mustJSON(t, sdpproto.Request{Op: "register", Doc: doc}))
 	if !resp.OK || resp.Version != 2 {
 		t.Fatalf("superseding register: %+v", resp)
 	}
@@ -176,7 +177,7 @@ func TestAdvertisementVersioning(t *testing.T) {
 	if h == nil || !h.Live || len(h.Versions) != 2 || h.Versions[0].Version != 1 || h.Versions[1].Version != 2 {
 		t.Fatalf("ledger after supersede: %+v", h)
 	}
-	if resp := s.handle(mustJSON(t, request{Op: "deregister", Name: "MediaWorkstation"})); !resp.OK {
+	if resp := s.handle(mustJSON(t, sdpproto.Request{Op: "deregister", Name: "MediaWorkstation"})); !resp.OK {
 		t.Fatalf("deregister: %s", resp.Error)
 	}
 	s.mu.Lock()
@@ -186,7 +187,7 @@ func TestAdvertisementVersioning(t *testing.T) {
 		t.Fatalf("ledger after withdraw: %+v", h)
 	}
 	// Re-publishing after withdrawal continues the version sequence.
-	resp = s.handle(mustJSON(t, request{Op: "register", Doc: doc}))
+	resp = s.handle(mustJSON(t, sdpproto.Request{Op: "register", Doc: doc}))
 	if !resp.OK || resp.Version != 3 {
 		t.Fatalf("re-register after withdraw: %+v", resp)
 	}
@@ -203,7 +204,7 @@ func TestIdenticalRepublishSharesLedgerText(t *testing.T) {
 	b := mustDoc(t, changed)
 	docs := []string{a, a, b, a}
 	for i, doc := range docs {
-		if resp := s.handle(mustJSON(t, request{Op: "register", Doc: doc})); !resp.OK || resp.Version != uint64(i+1) {
+		if resp := s.handle(mustJSON(t, sdpproto.Request{Op: "register", Doc: doc})); !resp.OK || resp.Version != uint64(i+1) {
 			t.Fatalf("register %d: %+v", i, resp)
 		}
 	}
@@ -244,7 +245,7 @@ func TestListServicesPagination(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		svc := profile.WorkstationService()
 		svc.Name = fmt.Sprintf("svc-%02d", i)
-		if resp := s.handle(mustJSON(t, request{Op: "register", Doc: mustDoc(t, svc)})); !resp.OK {
+		if resp := s.handle(mustJSON(t, sdpproto.Request{Op: "register", Doc: mustDoc(t, svc)})); !resp.OK {
 			t.Fatalf("register %d: %s", i, resp.Error)
 		}
 	}
@@ -300,11 +301,11 @@ func TestMigrateStoreCommand(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp := s1.handle(mustJSON(t, request{Op: "add-ontology", Doc: string(data)})); !resp.OK {
+		if resp := s1.handle(mustJSON(t, sdpproto.Request{Op: "add-ontology", Doc: string(data)})); !resp.OK {
 			t.Fatalf("add-ontology: %s", resp.Error)
 		}
 	}
-	if resp := s1.handle(mustJSON(t, request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())})); !resp.OK {
+	if resp := s1.handle(mustJSON(t, sdpproto.Request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())})); !resp.OK {
 		t.Fatalf("register: %s", resp.Error)
 	}
 	if err := st.Close(); err != nil {
@@ -332,7 +333,7 @@ func TestMigrateStoreCommand(t *testing.T) {
 	if err != nil || applied != 3 || skipped != 0 {
 		t.Fatalf("replay from migrated store: %d/%d/%v", applied, skipped, err)
 	}
-	resp := s2.handle(mustJSON(t, request{Op: "query", Doc: mustDoc(t, profile.PDAService())}))
+	resp := s2.handle(mustJSON(t, sdpproto.Request{Op: "query", Doc: mustDoc(t, profile.PDAService())}))
 	if !resp.OK || len(resp.Hits) != 1 || resp.Hits[0].Service != "MediaWorkstation" {
 		t.Fatalf("query after migration: %+v", resp)
 	}
@@ -381,7 +382,7 @@ func TestListServicesExactlyFullFinalPage(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		svc := profile.WorkstationService()
 		svc.Name = fmt.Sprintf("svc-%02d", i)
-		if resp := s.handle(mustJSON(t, request{Op: "register", Doc: mustDoc(t, svc)})); !resp.OK {
+		if resp := s.handle(mustJSON(t, sdpproto.Request{Op: "register", Doc: mustDoc(t, svc)})); !resp.OK {
 			t.Fatalf("register %d: %s", i, resp.Error)
 		}
 	}
@@ -431,14 +432,14 @@ func TestBackgroundCompactor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp := s.handle(mustJSON(t, request{Op: "add-ontology", Doc: string(data)})); !resp.OK {
+		if resp := s.handle(mustJSON(t, sdpproto.Request{Op: "add-ontology", Doc: string(data)})); !resp.OK {
 			t.Fatalf("add-ontology: %s", resp.Error)
 		}
 	}
-	if resp := s.handle(mustJSON(t, request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())})); !resp.OK {
+	if resp := s.handle(mustJSON(t, sdpproto.Request{Op: "register", Doc: mustDoc(t, profile.WorkstationService())})); !resp.OK {
 		t.Fatalf("register: %s", resp.Error)
 	}
-	if resp := s.handle(mustJSON(t, request{Op: "deregister", Name: "MediaWorkstation"})); !resp.OK {
+	if resp := s.handle(mustJSON(t, sdpproto.Request{Op: "deregister", Name: "MediaWorkstation"})); !resp.OK {
 		t.Fatalf("deregister: %s", resp.Error)
 	}
 	records := func() int {

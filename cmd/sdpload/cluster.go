@@ -2,17 +2,18 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
-	"net"
 	"sort"
+	"sync"
 	"time"
 
 	"sariadne/internal/codes"
 	"sariadne/internal/discovery"
 	"sariadne/internal/election"
 	"sariadne/internal/gen"
+	"sariadne/internal/ontology"
+	"sariadne/internal/sdpproto"
 	"sariadne/internal/simnet"
 )
 
@@ -161,74 +162,118 @@ func (c *cluster) close() {
 	c.net.Close()
 }
 
-// liveCluster drives real sdpd daemons over their UDP client protocol
-// (the sdpctl wire format): each op dials its own ephemeral socket so
-// concurrent workers cannot cross replies.
+// liveCluster drives real sdpd daemons over their UDP client protocol.
+// Each target keeps a pool of idle clients: an op takes one and puts it
+// back, so concurrent ops (closed-loop workers or open-loop goroutines)
+// never share a socket, and one worker's successive ops reuse the same
+// socket instead of dialing per op.
 type liveCluster struct {
 	targets []string
 	timeout time.Duration
 	token   string // bearer token for daemons with tenant admission
+
+	mu   sync.Mutex
+	idle [][]*sdpproto.Client // per target; guarded by mu
 }
+
+// liveSettleTimeout bounds the wait for federated targets to exchange
+// the summaries of the preloaded services.
+const liveSettleTimeout = 30 * time.Second
 
 func newLiveCluster(targets []string, timeout time.Duration, token string) *liveCluster {
 	sort.Strings(targets)
-	return &liveCluster{targets: targets, timeout: timeout, token: token}
+	return &liveCluster{targets: targets, timeout: timeout, token: token,
+		idle: make([][]*sdpproto.Client, len(targets))}
 }
 
-// clientRequest/clientResponse mirror sdpd's datagram protocol.
-type clientRequest struct {
-	Op    string `json:"op"`
-	Doc   string `json:"doc,omitempty"`
-	Token string `json:"token,omitempty"`
-}
-
-type clientResponse struct {
-	OK          bool     `json:"ok"`
-	Error       string   `json:"error,omitempty"`
-	Hits        []any    `json:"hits,omitempty"`
-	Unreachable []string `json:"unreachable,omitempty"`
-}
-
-func (l *liveCluster) send(node int, req clientRequest) (*clientResponse, error) {
+// do sends one request to target node%N on a pooled client and fails on
+// anything but an ok reply.
+func (l *liveCluster) do(node int, req sdpproto.Request) (*sdpproto.Response, error) {
+	t := node % len(l.targets)
+	l.mu.Lock()
+	var c *sdpproto.Client
+	if n := len(l.idle[t]); n > 0 {
+		c, l.idle[t] = l.idle[t][n-1], l.idle[t][:n-1]
+	}
+	l.mu.Unlock()
+	if c == nil {
+		var err error
+		if c, err = sdpproto.Dial(l.targets[t], l.timeout); err != nil {
+			return nil, err
+		}
+	}
 	req.Token = l.token
-	addr := l.targets[node%len(l.targets)]
-	conn, err := net.Dial("udp", addr)
+	resp, err := c.Do(req)
+	l.mu.Lock()
+	l.idle[t] = append(l.idle[t], c)
+	l.mu.Unlock()
 	if err != nil {
 		return nil, err
-	}
-	defer conn.Close()
-	data, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	if err := conn.SetDeadline(time.Now().Add(l.timeout)); err != nil {
-		return nil, err
-	}
-	if _, err := conn.Write(data); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 64*1024)
-	n, err := conn.Read(buf)
-	if err != nil {
-		return nil, err
-	}
-	var resp clientResponse
-	if err := json.Unmarshal(buf[:n], &resp); err != nil {
-		return nil, fmt.Errorf("malformed reply: %w", err)
 	}
 	if !resp.OK {
 		return nil, fmt.Errorf("server error: %s", resp.Error)
 	}
-	return &resp, nil
+	return resp, nil
+}
+
+// preload loads the workload before warmup, the way buildCluster does
+// for simnet: every ontology into each target, then service i into
+// target i%N. With several targets it then waits until each holds peer
+// summaries covering the services preloaded elsewhere, so queries
+// measure federated hits rather than misses.
+func (l *liveCluster) preload(w *gen.Workload) error {
+	for _, o := range w.Ontologies {
+		doc, err := ontology.Marshal(o)
+		if err != nil {
+			return err
+		}
+		for t, addr := range l.targets {
+			if _, err := l.do(t, sdpproto.Request{Op: "add-ontology", Doc: string(doc)}); err != nil {
+				return fmt.Errorf("preload ontology %s into %s: %w", o.URI, addr, err)
+			}
+		}
+	}
+	held := make([]int, len(l.targets))
+	for i, doc := range w.ServiceDocs {
+		if _, err := l.do(i, sdpproto.Request{Op: "register", Doc: string(doc)}); err != nil {
+			return fmt.Errorf("preload service %d into %s: %w", i, l.targets[i%len(l.targets)], err)
+		}
+		held[i%len(l.targets)]++
+	}
+	if len(l.targets) == 1 {
+		return nil
+	}
+	deadline := time.Now().Add(liveSettleTimeout)
+	for t, addr := range l.targets {
+		for {
+			resp, err := l.do(t, sdpproto.Request{Op: "peers"})
+			if err != nil {
+				return fmt.Errorf("peers on %s: %w", addr, err)
+			}
+			remote := 0
+			for _, p := range resp.Peers {
+				remote += p.Entries
+			}
+			if remote >= len(w.ServiceDocs)-held[t] {
+				break
+			}
+			if time.Now().After(deadline) {
+				return fmt.Errorf("%s holds summaries for %d of the %d services preloaded on other targets after %s",
+					addr, remote, len(w.ServiceDocs)-held[t], liveSettleTimeout)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	return nil
 }
 
 func (l *liveCluster) publish(_ context.Context, node int, doc []byte) error {
-	_, err := l.send(node, clientRequest{Op: "register", Doc: string(doc)})
+	_, err := l.do(node, sdpproto.Request{Op: "register", Doc: string(doc)})
 	return err
 }
 
 func (l *liveCluster) query(_ context.Context, node int, doc []byte) (int, int, error) {
-	resp, err := l.send(node, clientRequest{Op: "query", Doc: string(doc)})
+	resp, err := l.do(node, sdpproto.Request{Op: "query", Doc: string(doc)})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -237,4 +282,13 @@ func (l *liveCluster) query(_ context.Context, node int, doc []byte) (int, int, 
 
 func (l *liveCluster) churn(int, bool) {} // cannot crash remote daemons
 
-func (l *liveCluster) close() {}
+func (l *liveCluster) close() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, pool := range l.idle {
+		for _, c := range pool {
+			_ = c.Close() // the run is over; nothing waits on these sockets
+		}
+	}
+	l.idle = nil
+}

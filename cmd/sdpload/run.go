@@ -104,7 +104,12 @@ func runLoad(cfg runConfig) (*slo.Report, error) {
 	var drv driver
 	if cfg.target != "" {
 		rep.Config.Topology = "live"
-		drv = newLiveCluster(strings.Split(cfg.target, ","), cfg.opTimeout, cfg.token)
+		lc := newLiveCluster(strings.Split(cfg.target, ","), cfg.opTimeout, cfg.token)
+		if err := lc.preload(w); err != nil {
+			lc.close()
+			return nil, err
+		}
+		drv = lc
 	} else {
 		rows, cols := gridDims(cfg.nodes)
 		c, err := buildCluster(w, reg, rows, cols, cfg.seed)

@@ -39,6 +39,8 @@ import (
 	"regexp"
 	"strconv"
 	"time"
+
+	"sariadne/internal/sdpproto"
 )
 
 const smokeDeadline = 85 * time.Second
@@ -71,25 +73,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("soaksmoke: ok")
-}
-
-// request and response mirror the sdpd client protocol: one JSON
-// datagram each way.
-type request struct {
-	Op  string `json:"op"`
-	Doc string `json:"doc,omitempty"`
-}
-
-type response struct {
-	OK    bool   `json:"ok"`
-	Error string `json:"error,omitempty"`
-	Hits  []struct {
-		Service string `json:"service"`
-	} `json:"hits,omitempty"`
-	Peers []struct {
-		Entries    int  `json:"entries"`
-		HasSummary bool `json:"has_summary"`
-	} `json:"peers,omitempty"`
 }
 
 // alertsView mirrors sdpd's GET /alerts reply.
@@ -171,7 +154,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	resp, err := send(b.clientAddr, request{Op: "register", Doc: string(doc)})
+	resp, err := b.do(sdpproto.Request{Op: "register", Doc: string(doc)})
 	if err != nil {
 		return fmt.Errorf("register on %s: %w", b.name, err)
 	}
@@ -185,7 +168,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	resp, err = send(c.clientAddr, request{Op: "query", Doc: string(req)})
+	resp, err = c.do(sdpproto.Request{Op: "query", Doc: string(req)})
 	if err != nil {
 		return fmt.Errorf("query on %s: %w", c.name, err)
 	}
@@ -301,7 +284,7 @@ func (d *daemon) stop() {
 // awaitUp polls the client port until the daemon answers a stats op.
 func (d *daemon) awaitUp(deadline time.Time) error {
 	for {
-		if resp, err := send(d.clientAddr, request{Op: "stats"}); err == nil && resp.OK {
+		if resp, err := d.do(sdpproto.Request{Op: "stats"}); err == nil && resp.OK {
 			return nil
 		}
 		if time.Now().After(deadline) {
@@ -315,7 +298,7 @@ func (d *daemon) awaitUp(deadline time.Time) error {
 // summary with entries.
 func (d *daemon) awaitSummary(deadline time.Time) error {
 	for {
-		resp, err := send(d.clientAddr, request{Op: "peers"})
+		resp, err := d.do(sdpproto.Request{Op: "peers"})
 		if err == nil && resp.OK {
 			for _, p := range resp.Peers {
 				if p.HasSummary && p.Entries > 0 {
@@ -462,32 +445,9 @@ func runSdpctlAlerts(bin string, d *daemon, wantExit int, want string) error {
 	return nil
 }
 
-func send(server string, req request) (*response, error) {
-	conn, err := net.Dial("udp", server)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	data, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	if err := conn.SetDeadline(time.Now().Add(2 * time.Second)); err != nil {
-		return nil, err
-	}
-	if _, err := conn.Write(data); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 256*1024)
-	n, err := conn.Read(buf)
-	if err != nil {
-		return nil, fmt.Errorf("waiting for reply: %w", err)
-	}
-	var resp response
-	if err := json.Unmarshal(buf[:n], &resp); err != nil {
-		return nil, fmt.Errorf("malformed reply: %w", err)
-	}
-	return &resp, nil
+// do sends one request to the daemon's client port.
+func (d *daemon) do(req sdpproto.Request) (*sdpproto.Response, error) {
+	return sdpproto.Send(d.clientAddr, 2*time.Second, req)
 }
 
 // freePort reserves a loopback port by binding and releasing it.
